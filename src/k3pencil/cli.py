@@ -29,6 +29,7 @@ from .singular import (
     ProjPoint,
     branch_ade_type,
     double_cover_type,
+    jet_order_from_env,
     milnor_ade_classify,
     verify_curve_intersections,
     verify_singular_locus,
@@ -82,7 +83,7 @@ def record(check_id: str, ok: bool, details: dict, t0: float) -> dict:
         "claim_ref": claim_ref(check_id),
         "status": status,
         "details": _jsonable(details),
-        "runtime_ms": int((time.time() - t0) * 1000),
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
 
 
@@ -94,7 +95,7 @@ def record(check_id: str, ok: bool, details: dict, t0: float) -> dict:
 def run_singularities(surface: str = "all", s_value: str = "all") -> list[dict]:
     out = []
     if surface in ("q", "all"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         Q = radical_quartic()
         pts = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
         rep = verify_singular_locus(Q, pts)
@@ -119,7 +120,7 @@ def run_singularities(surface: str = "all", s_value: str = "all") -> list[dict]:
         )
     if surface in ("branch", "all"):
         if s_value in ("generic", "all"):
-            t0 = time.time()
+            t0 = time.perf_counter()
             g0, g1 = branch_cubic(0), branch_cubic(1)
             r0 = verify_singular_locus(g0, [])
             r1 = verify_singular_locus(g1, [])
@@ -131,7 +132,7 @@ def run_singularities(surface: str = "all", s_value: str = "all") -> list[dict]:
                     t0,
                 )
             )
-            t0 = time.time()
+            t0 = time.perf_counter()
             claimed = [(ProjPoint(QS, c), m) for c, m in GENERIC_BRANCH_POINTS]
             rep = verify_curve_intersections(g0, g1, claimed)
             out.append(
@@ -148,7 +149,7 @@ def run_singularities(surface: str = "all", s_value: str = "all") -> list[dict]:
                     t0,
                 )
             )
-            t0 = time.time()
+            t0 = time.perf_counter()
             sex = branch_cubic(0) * branch_cubic(1)
             rows = []
             ok = True
@@ -162,7 +163,7 @@ def run_singularities(surface: str = "all", s_value: str = "all") -> list[dict]:
         for s0, check_id in ((1, "fiber-s1-singular-locus"), (-1, "fiber-s-1-singular-locus")):
             if s_value not in (str(s0), "all"):
                 continue
-            t0 = time.time()
+            t0 = time.perf_counter()
             sex = branch_sextic_at(s0)
             table = fiber_singular_table(s0)
             pts = [ProjPoint(QQ, c) for c, _ in table]
@@ -183,7 +184,7 @@ def run_lines(s_value: str = "generic") -> list[dict]:
         # special fibres: the line table and matrix are emitted as data; the
         # pass/fail checks target the generic configuration
         return out
-    t0 = time.time()
+    t0 = time.perf_counter()
     config = BranchConfig.generic()
     lines = fiber_lines("generic")
     even_rows = []
@@ -203,7 +204,7 @@ def run_lines(s_value: str = "generic") -> list[dict]:
             t0,
         )
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     lift_rows = []
     lifts_ok = True
     for ll in lines:
@@ -211,14 +212,14 @@ def run_lines(s_value: str = "generic") -> list[dict]:
         lifts_ok = lifts_ok and ok
         lift_rows.append({"label": ll.label, "w": str(ll.w_formula), "ok": ok})
     out.append(record("component-lifts-generic", lifts_ok, {"rows": lift_rows}, t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = line_matrix(lines, config)
     match = tuple(tuple(r) for r in m) == REFERENCE_LINE_MATRIX
     out.append(record("line-matrix-generic", match, {"matrix": m, "matches_reference": match}, t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     chain = chain_model_check()
     out.append(record("chain-model", chain.ok, {"steps": chain.steps}, t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     crs = [cremona_pullback_check(i) for i in (0, 1)]
     out.append(
         record(
@@ -245,7 +246,7 @@ def run_picard(fiber: str = "all", jobs: int = 1, rank_bound: int = 20) -> list[
     for key, (fib, check_id, expected_survivors) in targets.items():
         if fiber not in (key, "all"):
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = analyze_fiber(fib, jobs=jobs, rank_bound=rank_bound)
         ok = res.picard_match and res.transcendental_match
         if expected_survivors is not None:
@@ -273,7 +274,7 @@ def run_picard(fiber: str = "all", jobs: int = 1, rank_bound: int = 20) -> list[
         )
     if fiber in ("all",):
         for pair, check_id in (((0, 1), "reflection-s0-s1"), ((2, -1), "reflection-s2-s-1")):
-            t0 = time.time()
+            t0 = time.perf_counter()
             rep = reflection_isomorphism_check(pair)
             out.append(
                 record(
@@ -293,7 +294,7 @@ def run_picard(fiber: str = "all", jobs: int = 1, rank_bound: int = 20) -> list[
 def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[dict]:
     out = []
     if op in ("apery", "all"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         values = [apery(i) for i in range(6)]
         rec = operator_to_recurrence(apery_operator())
         rec_ok = all(rec.residual([apery(i) for i in range(101)], m) == 0 for m in range(2, 101))
@@ -305,10 +306,10 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, bad = annihilation_check(apery_operator(), apery, max(n, 50))
         out.append(record("apery-annihilation", ok, {"order": max(n, 50), "first_fail": bad}, t0))
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = operator_singularities(apery_operator())
         pts = rep.singular_points()
         expected = ["0", "17 + 12*sqrt(2)", "17 - 12*sqrt(2)", "inf"]
@@ -320,7 +321,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         out.append(
             record(
                 "apery-index-note",
@@ -330,7 +331,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
             )
         )
     if op in ("domb", "all"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         values = [domb(i) for i in range(5)]
         prod_ok = all(domb(i) == _comb(2 * i, i) * sum_a(i) for i in range(51))
         out.append(
@@ -341,7 +342,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         rec = operator_to_recurrence(domb_operator(False))
         pred = rec.predict(Fraction(1), 2)
         okf, bad = annihilation_check(domb_operator(False), domb, 30)
@@ -359,7 +360,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, bad = annihilation_check(domb_operator(True), domb, max(n, 50))
         rep = operator_singularities(domb_operator(True))
         pts = rep.singular_points()
@@ -378,7 +379,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
             )
         )
     if op in ("fermi", "all"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         okf, bad = annihilation_check(fermi_operator(False), apery, 20, dilation=2)
         out.append(
             record(
@@ -388,7 +389,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, bad = annihilation_check(fermi_operator(True), apery, max(n, 40), dilation=2)
         ok_a, _ = annihilation_check(apery_operator(), apery, max(n, 40))
         out.append(
@@ -399,7 +400,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
                 t0,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = operator_singularities(fermi_operator(True))
         pts = rep.singular_points()
         expected = {
@@ -420,7 +421,7 @@ def run_series(op: str = "all", n: int = 50, corrected: bool = False) -> list[di
             )
         )
     if op in ("walk", "all"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out.append(
             record(
                 "walk-sequence-index",
@@ -443,7 +444,7 @@ def run_identities(only: Optional[str] = None) -> list[dict]:
     for c in all_identity_checks():
         if only and c.id != only:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         out.append(record(c.id, c.ok, c.details, t0))
     return out
 
@@ -512,7 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("all", help="run every check"))
     sp = sub.add_parser("singularities", help="singular-locus checks")
     sp.add_argument("--surface", choices=["q", "branch", "all"], default="all")
-    sp.add_argument("--s", dest="s_value", default="all", help="generic, a rational, or all")
+    sp.add_argument(
+        "--s",
+        dest="s_value",
+        choices=["generic", "1", "-1", "all"],
+        default="all",
+        help="the generic fibre, the special fibre s = 1 or s = -1, or all",
+    )
     common(sp)
     sp = sub.add_parser("lines", help="split lines, lifts and their matrix")
     sp.add_argument("--s", dest="s_value", default="generic")
@@ -548,6 +555,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    try:
+        jet_order_from_env()
+    except ValueError as e:
+        print(f"k3pencil: error: {e}", file=sys.stderr)
+        return 2
     checks: list[dict] = []
     extra: Optional[dict] = None
     if args.command == "all":

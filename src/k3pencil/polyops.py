@@ -5,9 +5,10 @@ rational substitution, and specialization of the pencil parameter."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .field import Field, FieldElement, QQ, RatFunc, _fraction_sqrt, quadratic_field
+from .field import QQ, QS, Field, FieldElement, RatFunc, _fraction_sqrt, quadratic_field
 from .mpoly import MPoly
 
 # ---------------------------------------------------------------------------
@@ -80,8 +81,38 @@ def gcd_poly(p: MPoly, q: MPoly) -> MPoly:
         p, q = p.with_vars(allv), q.with_vars(allv)
     a = p.dense_univariate(var) if not p.is_zero() else []
     b = q.dense_univariate(var) if not q.is_zero() else []
+    if p.field == QS and len(a) > 1 and len(b) > 1 and _coprime_by_specialization(a, b):
+        return MPoly.const(p.field, p.vars, 1)
     g = _dense_gcd(a, b, p.field)
     return MPoly.from_dense(p.field, p.vars, var, g)
+
+
+#: Values of s tried, in order, by the coprimality certificate.
+COPRIME_TEST_POINTS = tuple(Fraction(k) for k in (7, -5, 11, -13, 17, -19, 23, -29))
+
+
+def _coprime_by_specialization(a: list, b: list) -> bool:
+    """True only if a, b in QQ(s)[x] (dense, nonconstant) are coprime.
+
+    s is specialized at the first point of COPRIME_TEST_POINTS where no
+    coefficient has a pole and the leading coefficient of a or of b does not
+    vanish; True when the gcd over QQ of the specializations is constant.
+    Sound by Gauss's lemma: clear denominators to A, B in QQ[s][x] and let G
+    be their primitive gcd in QQ[s][x].  G divides A and B there, so lc(G)
+    divides lc(A) and lc(B); one of those survives at s0, so deg G(s0) =
+    deg G.  G(s0) divides A(s0) and B(s0), nonzero multiples of a(s0), b(s0)
+    since no denominator vanishes, hence deg gcd(a(s0), b(s0)) >= deg G.
+    False means "not certified": the caller runs the Euclidean algorithm."""
+    for s0 in COPRIME_TEST_POINTS:
+        try:
+            a0 = [QQ.from_rat(c.a.eval(s0)) for c in a]
+            b0 = [QQ.from_rat(c.a.eval(s0)) for c in b]
+        except ZeroDivisionError:
+            continue
+        if a0[-1].is_zero() and b0[-1].is_zero():
+            continue
+        return len(_dense_gcd(_trim(a0), _trim(b0), QQ)) == 1
+    return False
 
 
 def squarefree_decomposition(p: MPoly) -> list[tuple[MPoly, int]]:
@@ -160,77 +191,154 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
                     other.add(poly.vars[i])
     if len(other) <= 1:
         return _resultant_dense(p, q, var, other.pop() if other else None)
-    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
     zero = MPoly.zero(p.field, p.vars)
-    size = m + n
-    rows: list[list[MPoly]] = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + (m - k)] = pc.get(k, zero)
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + (n - k)] = qc.get(k, zero)
-        rows.append(row)
+    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
+    rows = _sylvester_rows(
+        [pc.get(k, zero) for k in range(m + 1)], [qc.get(k, zero) for k in range(n + 1)], zero
+    )
     return _bareiss_det(rows, p.field, p.vars)
+
+
+def _sylvester_rows(pc: list, qc: list, empty) -> list[list]:
+    """Sylvester matrix of two polynomials given by their coefficient lists
+    (index = power of the eliminated variable, leading entry nonzero)."""
+    m, n = len(pc) - 1, len(qc) - 1
+    rows = []
+    for cs, shifts in ((pc, n), (qc, m)):
+        d = len(cs) - 1
+        for i in range(shifts):
+            row = [empty] * (m + n)
+            for k, c in enumerate(cs):
+                row[i + d - k] = c
+            rows.append(row)
+    return rows
 
 
 def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPoly:
     """Sylvester determinant with entries stored as dense coefficient lists
-    in the single remaining variable; raw Fractions over QQ."""
+    in the single remaining variable.
+
+    Over QQ the matrix is made integral row by row: each row is multiplied
+    by the lcm of its entries' denominators (the same for all rows built
+    from one polynomial), Bareiss runs on plain int lists, and the
+    determinant is divided by the product of the row scales, since scaling a
+    row scales the determinant.  Other fields keep FieldElement entries."""
     field = p.field
-    raw = field == QQ and field.alpha_square is None
+    iv = p.vars.index(var)
+    io = p.vars.index(other) if other else None
 
-    def unwrap(c: FieldElement):
-        return c.a.num.const_value() if raw else c
-
-    zero_c = Fraction(0) if raw else field.zero
-
-    def entry(poly: MPoly, k: int) -> list:
-        iv = poly.vars.index(var)
-        io = poly.vars.index(other) if other else None
-        out: list = []
+    def entries(poly: MPoly) -> list[list]:
+        out: list[list] = [[] for _ in range(poly.degree_in(var) + 1)]
         for e, c in poly.terms.items():
-            if e[iv] != k:
-                continue
+            ent = out[e[iv]]
             d = e[io] if io is not None else 0
-            while len(out) <= d:
-                out.append(zero_c)
-            out[d] = unwrap(c)
-        while out and (out[-1] == 0 if raw else out[-1].is_zero()):
-            out.pop()
+            ent.extend([field.zero] * (d + 1 - len(ent)))
+            ent[d] = c
         return out
 
-    m, n = p.degree_in(var), q.degree_in(var)
-    size = m + n
-    empty: list = []
-    rows = []
-    p_ent = [entry(p, k) for k in range(m + 1)]
-    q_ent = [entry(q, k) for k in range(n + 1)]
-    for i in range(n):
-        row = [empty] * size
-        for k in range(m + 1):
-            row[i + (m - k)] = p_ent[k]
-        rows.append(row)
-    for i in range(m):
-        row = [empty] * size
-        for k in range(n + 1):
-            row[i + (n - k)] = q_ent[k]
-        rows.append(row)
-    coeffs = _bareiss_det_dense(rows, zero_c, raw)
-    vars_out = p.vars
+    p_ent, q_ent = entries(p), entries(q)
+    m, n = len(p_ent) - 1, len(q_ent) - 1
+    if field == QQ:
+        p_int, p_scale = _integral_entries(p_ent)
+        q_int, q_scale = _integral_entries(q_ent)
+        det = _bareiss_det_int(_sylvester_rows(p_int, q_int, []))
+        scale = p_scale ** n * q_scale ** m
+        coeffs = [field.from_rat(Fraction(c, scale)) for c in det]
+    else:
+        coeffs = _bareiss_det_dense(_sylvester_rows(p_ent, q_ent, []), field.zero)
     terms = {}
-    io = vars_out.index(other) if other else None
     for d, c in enumerate(coeffs):
-        czero = (c == 0) if raw else c.is_zero()
-        if not czero:
-            e = [0] * len(vars_out)
+        if not c.is_zero():
+            e = [0] * len(p.vars)
             if io is not None:
                 e[io] = d
-            terms[tuple(e)] = field.from_rat(c) if raw else c
-    return MPoly(field, vars_out, terms)
+            terms[tuple(e)] = c
+    return MPoly(field, p.vars, terms)
+
+
+def _integral_entries(ents: list[list[FieldElement]]) -> tuple[list[list[int]], int]:
+    """Rational entries (dense lists over QQ) times the lcm L of all their
+    denominators, as int lists; returns them with L."""
+    fracs = [[c.a.const_value() for c in ent] for ent in ents]
+    scale = 1
+    for ent in fracs:
+        for c in ent:
+            scale = lcm(scale, c.denominator)
+    return [[c.numerator * (scale // c.denominator) for c in ent] for ent in fracs], scale
+
+
+def _il_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _il_sub_trim(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _il_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b in Z[y]; ValueError unless b divides a exactly."""
+    rem = list(a)
+    db, dq = len(b) - 1, len(a) - len(b)
+    if dq < 0:
+        if rem:
+            raise ValueError("dense exact division failed")
+        return []
+    lead = b[-1]
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[k + db]
+        if top:
+            qc, r = divmod(top, lead)
+            if r:
+                raise ValueError("dense exact division failed")
+            quot[k] = qc
+            for j, c in enumerate(b):
+                rem[k + j] -= qc * c
+    if any(rem):
+        raise ValueError("dense exact division failed")
+    return quot
+
+
+def _bareiss_det_int(m: list[list[list[int]]]) -> list[int]:
+    """Bareiss determinant of a matrix over Z[y], entries as dense int lists
+    (low -> high, trimmed).  Every division is exact in Z[y] (Bareiss 1968)."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    m = [list(row) for row in m]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return []
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        row_k, pk = m[k], m[k][k]
+        for i in range(k + 1, n):
+            row_i, mik = m[i], m[i][k]
+            for j in range(k + 1, n):
+                num = _il_sub_trim(_il_mul(row_i[j], pk), _il_mul(mik, row_k[j]))
+                row_i[j] = _il_exact_div(num, prev) if prev != [1] else num
+            row_i[k] = []
+        prev = pk
+    det = m[n - 1][n - 1]
+    return [-c for c in det] if sign < 0 else det
 
 
 def _dl_mul(a: list, b: list, zero) -> list:
@@ -238,7 +346,7 @@ def _dl_mul(a: list, b: list, zero) -> list:
         return []
     out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca != zero if isinstance(ca, Fraction) else not ca.is_zero():
+        if not ca.is_zero():
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
     return out
@@ -250,40 +358,36 @@ def _dl_sub(a: list, b: list, zero) -> list:
     return out
 
 
-def _dl_trim(a: list, raw: bool) -> list:
-    while a and ((a[-1] == 0) if raw else a[-1].is_zero()):
-        a.pop()
-    return a
-
-
-def _dl_exact_div(a: list, b: list, zero, raw: bool) -> list:
+def _dl_exact_div(a: list, b: list, zero) -> list:
     if not b:
         raise ZeroDivisionError("dense division by zero")
     rem = list(a)
     db = len(b) - 1
     da = len(rem) - 1
     if da < db:
-        if not _dl_trim(rem, raw):
+        if not _trim(rem):
             return []
         raise ValueError("dense exact division failed")
-    inv = (Fraction(1) / b[-1]) if raw else b[-1].inv()
+    inv = b[-1].inv()
     quot = [zero] * (da - db + 1)
     for k in range(da - db, -1, -1):
         top = rem[k + db]
-        if (top != 0) if raw else (not top.is_zero()):
+        if not top.is_zero():
             qc = top * inv
             quot[k] = qc
             for j, c in enumerate(b):
                 rem[k + j] = rem[k + j] - qc * c
-    if _dl_trim(rem, raw):
+    if _trim(rem):
         raise ValueError("dense exact division failed")
-    return _dl_trim(quot, raw)
+    return _trim(quot)
 
 
-def _bareiss_det_dense(m: list[list[list]], zero, raw: bool) -> list:
+def _bareiss_det_dense(m: list[list[list]], zero) -> list:
+    """Bareiss determinant of a matrix whose entries are dense lists of
+    FieldElements (polynomials in one variable over the field)."""
     n = len(m)
     if n == 0:
-        return [Fraction(1) if raw else zero]
+        return [zero.field.one]
     m = [list(row) for row in m]
     sign = 1
     prev: list = []
@@ -297,9 +401,9 @@ def _bareiss_det_dense(m: list[list[list]], zero, raw: bool) -> list:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = _dl_sub(_dl_mul(m[i][j], m[k][k], zero), _dl_mul(m[i][k], m[k][j], zero), zero)
-                num = _dl_trim(num, raw)
+                num = _trim(num)
                 if prev:
-                    num = _dl_exact_div(num, prev, zero, raw)
+                    num = _dl_exact_div(num, prev, zero)
                 m[i][j] = num
             m[i][k] = []
         prev = m[k][k]

@@ -25,9 +25,20 @@ from .polyops import gcd_bivariate, gcd_poly, resultant
 DEFAULT_JET_ORDER = 10
 
 
-def _jet_order_default() -> int:
+def jet_order_from_env() -> int:
+    """The jet bound of the A_k classifier: K3PENCIL_JET_ORDER if set, else
+    DEFAULT_JET_ORDER.  Raises ValueError, naming the variable, unless the
+    value is an integer >= 1."""
     env = os.environ.get("K3PENCIL_JET_ORDER")
-    return int(env) if env else DEFAULT_JET_ORDER
+    if not env:
+        return DEFAULT_JET_ORDER
+    try:
+        order = int(env)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise ValueError(f"K3PENCIL_JET_ORDER must be an integer >= 1, got {env!r}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,7 @@ def milnor_ade_classify(
     """Classify an isolated critical point with critical value 0 as A_k by
     corank computation and jet-level square completion.  Returns the report
     with milnor number k."""
-    N = jet_order or _jet_order_default()
+    N = jet_order or jet_order_from_env()
     field = f.field
     vals = [field.coerce(p) for p in point]
     g = f.translate(vals).truncate(N)
@@ -449,41 +460,85 @@ def milnor_ade_classify(
     ]
     h = g.subst_polys(images).truncate(N)
     diag = [M[i][i] for i in range(rank)]
-    kernel_var = f.vars[n - 1]
 
     # restrict to the critical section: solve grad_x h(x, w) = 0 for the
     # nondegenerate coordinates x as series in the kernel variable w, by
     # Newton iteration with the constant Hessian block (order grows by at
     # least one per step); the splitting-lemma residual is h on that section.
+    # h has no constant or linear terms, so phi keeps valuation >= 1 in w.
     grads = [h.derivative(f.vars[i]) for i in range(rank)]
-    zero_p = MPoly.zero(field, f.vars)
-    phi = [zero_p] * rank
+    phi = [[field.zero] * (N + 1) for _ in range(rank)]
     inv2d = [(d * 2).inv() for d in diag]
-
-    def eval_at_phi(p: MPoly) -> MPoly:
-        out = p
-        for i in range(rank):
-            out = out.set_var_poly(f.vars[i], phi[i]).truncate(N)
-        return out
 
     converged = False
     for _ in range(N + 3):
-        gvals = [eval_at_phi(gp) for gp in grads]
-        if all(gv.is_zero() for gv in gvals):
+        gvals = _eval_on_section(grads, phi, N, field)
+        if all(c.is_zero() for gv in gvals for c in gv):
             converged = True
             break
-        phi = [phi[i] - gvals[i] * inv2d[i] for i in range(rank)]
-        phi = [p.truncate(N) for p in phi]
+        phi = [[c - g * inv2d[i] for c, g in zip(phi[i], gvals[i])] for i in range(rank)]
     if not converged:
         raise ValueError("jet order exceeded: critical section did not stabilize")
 
-    residual = eval_at_phi(h)
-    if residual.is_zero():
+    (residual,) = _eval_on_section([h], phi, N, field)
+    m = next((d for d, c in enumerate(residual) if not c.is_zero()), None)
+    if m is None:
         raise ValueError("jet order exceeded: kernel series vanishes to jet order")
-    m = residual.min_total_degree()
     if m < 3:
         raise ValueError("kernel series has unexpected low order")
     return SingularityReport(_affine_point(field, vals), m - 1)
+
+
+def _eval_on_section(
+    polys: Sequence[MPoly], phi: list[list[FieldElement]], N: int, field: Field
+) -> list[list[FieldElement]]:
+    """Each p(x_0, .., x_{r-1}, w) at x_i = phi_i(w), as the dense series in
+    w truncated after w^N; the phi_i are given the same way.
+
+    Every phi_i has valuation >= 1, so a monomial of total degree d maps to
+    a series of valuation >= d.  Truncating after substitution therefore
+    gives the same series as truncating at total degree N after each
+    substitution.  The truncated powers phi_i^k and the monomials in the x_i
+    are cached across the polynomials, which share most of them."""
+    zero = field.zero
+    r = len(phi)
+
+    def mul(a: list, b: list) -> list:
+        out = [zero] * (N + 1)
+        for i, ai in enumerate(a):
+            if not ai.is_zero():
+                for j in range(N + 1 - i):
+                    if not b[j].is_zero():
+                        out[i + j] = out[i + j] + ai * b[j]
+        return out
+
+    one = [field.one] + [zero] * N
+    powers = [[one] for _ in range(r)]
+    monos: dict[tuple, list] = {}
+
+    def mono(ex: tuple) -> list:
+        if ex not in monos:
+            acc = one
+            for i, k in enumerate(ex):
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(mul(pw[-1], phi[i]))
+                    acc = mul(acc, pw[k])
+            monos[ex] = acc
+        return monos[ex]
+
+    results = []
+    for p in polys:
+        out = [zero] * (N + 1)
+        for e, c in p.terms.items():
+            kw = sum(e[r:])
+            m = mono(e[:r])
+            for d in range(N + 1 - kw):
+                if not m[d].is_zero():
+                    out[d + kw] = out[d + kw] + c * m[d]
+        results.append(out)
+    return results
 
 
 def _affine_point(field: Field, vals: list[FieldElement]) -> ProjPoint:

@@ -66,11 +66,11 @@ class Stopwatch:
         self.label = label
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.t0
+        elapsed = time.perf_counter() - self.t0
         in_time = elapsed < self.limit
         status = "PASS" if (exc_type is None and in_time) else "FAIL"
         print(f"ACCEPTANCE {self.number:2d}: {status} ({elapsed:6.2f} s <= {self.limit} s) {self.label}")

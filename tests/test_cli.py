@@ -91,3 +91,16 @@ def test_all_subcommand_exit_code_runs_quick_sections(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 0
     assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def test_singularities_rejects_unknown_fibre(capsys):
+    assert main(["singularities", "--surface", "branch", "--s", "7"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_invalid_jet_order_exits_2(monkeypatch, capsys):
+    for value in ("abc", "2.5", "0", "-3"):
+        monkeypatch.setenv("K3PENCIL_JET_ORDER", value)
+        assert main(["identities", "--only", "symmetry-group-48"]) == 2
+        captured = capsys.readouterr()
+        assert "K3PENCIL_JET_ORDER" in captured.err and not captured.out

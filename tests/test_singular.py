@@ -229,3 +229,11 @@ def test_jet_order_env_override(monkeypatch):
         milnor_ade_classify(aff, (0, 0, 0))
     monkeypatch.delenv("K3PENCIL_JET_ORDER")
     assert milnor_ade_classify(aff, (0, 0, 0)).k == 3
+
+
+def test_jet_order_env_validated(monkeypatch):
+    aff = radical_quartic().set_var("v", QQ.one).drop_vars(["v"])
+    for value in ("ten", "0"):
+        monkeypatch.setenv("K3PENCIL_JET_ORDER", value)
+        with pytest.raises(ValueError, match="K3PENCIL_JET_ORDER"):
+            milnor_ade_classify(aff, (0, 0, 0))
