@@ -412,7 +412,7 @@ def cremona_pullback_check(i: int) -> CremonaReport:
         for _ in range(m):
             cubic = cubic.exact_div(line)
     expected = branch_cubic(i)
-    ok = cubic.total_degree() == 3 and _proportional(cubic, expected)
+    ok = cubic.total_degree() == 3 and proportional(cubic, expected)
 
     # involution: gamma о gamma multiplies each coordinate by a common factor
     comp = [g.subst_polys(gamma) for g in gamma]
@@ -425,7 +425,8 @@ def cremona_pullback_check(i: int) -> CremonaReport:
     return CremonaReport(ok, mults, tuple(str(e) for e in exceptional), cubic, expected, inv_ok)
 
 
-def _proportional(a: MPoly, b: MPoly) -> bool:
+def proportional(a: MPoly, b: MPoly) -> bool:
+    """Whether a and b are nonzero scalar multiples of each other (or both zero)."""
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
     ea, ca = a.leading()

@@ -387,10 +387,6 @@ class Field:
     def rationals() -> "Field":
         return QQ
 
-    @staticmethod
-    def rational_functions() -> "Field":
-        return QS
-
     def extend(self, alpha_square: RatFunc) -> "Field":
         if self.alpha_square is not None:
             raise ValueError("tower is fixed-depth: already extended")

@@ -25,7 +25,7 @@ from .pencil import (
     fiber_branch_components,
     fiber_singular_table,
 )
-from .cover import BranchConfig, fiber_lines, line_matrix
+from .cover import BranchConfig, fiber_lines, line_matrix, proportional
 from .lattice import (
     GramLattice,
     LatticeInvariants,
@@ -214,11 +214,9 @@ def build_divisor_config(fiber: Union[str, int, Fraction]) -> DivisorConfig:
     return DivisorConfig(key, tuple(labels), base, ambiguous, chain_points, lines)
 
 
-def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20, jobs: int = 1) -> FiberResult:
+def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20) -> FiberResult:
     """Run through all sheet assignments, keep those whose completed Gram
-    matrix has rank at most the bound, and extract the common invariants.
-    The branches are independent pure computations; jobs > 1 fans them out
-    over a thread pool."""
+    matrix has rank at most the bound, and extract the common invariants."""
 
     def complete(bits):
         m = [row[:] for row in config.base]
@@ -232,14 +230,7 @@ def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20, jobs: int 
         rank, _, _, _ = rank_signature(GramLattice.from_rows(m, config.labels))
         return bits, m, rank
 
-    assignments = list(product((0, 1), repeat=len(config.ambiguous_pairs)))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(branch, assignments))
-    else:
-        results = [branch(bits) for bits in assignments]
+    results = [branch(bits) for bits in product((0, 1), repeat=len(config.ambiguous_pairs))]
     survivors = [(bits, m) for bits, m, rank in results if rank <= rank_bound]
     if not survivors:
         raise ValueError("no assignment satisfies the rank bound")
@@ -283,8 +274,8 @@ def transcendental_invariants(picard: LatticeInvariants) -> LatticeInvariants:
     return LatticeInvariants(22 - rho, (2, 20 - rho, 0), picard.invariant_factors, disc)
 
 
-def analyze_fiber(fiber, jobs: int = 1, rank_bound: int = 20) -> FiberResult:
-    return enumerate_and_filter(build_divisor_config(fiber), rank_bound=rank_bound, jobs=jobs)
+def analyze_fiber(fiber) -> FiberResult:
+    return enumerate_and_filter(build_divisor_config(fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +433,7 @@ def _certify_homology(m, cubicsA, cubicsB) -> Optional[str]:
     ]
     pulls = [c.subst_polys(images) for c in cubicsB]
     for name, (i0, i1) in (("direct", (0, 1)), ("swapped", (1, 0))):
-        if _proportional(pulls[0], cubicsA[i0]) and _proportional(pulls[1], cubicsA[i1]):
+        if proportional(pulls[0], cubicsA[i0]) and proportional(pulls[1], cubicsA[i1]):
             return name
     return None
 
-
-def _proportional(a: MPoly, b: MPoly) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    ea, ca = a.leading()
-    eb, cb = b.leading()
-    if ea != eb:
-        return False
-    return (a * cb - b * ca).is_zero()

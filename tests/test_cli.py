@@ -1,8 +1,20 @@
 import json
 import os
+import re
+import shlex
 
+import pytest
+
+from k3pencil import cli
 from k3pencil.claims import CLAIMS, FLAGGED_CHECKS, render_markdown
-from k3pencil.cli import build_parser, main, run_identities, run_series
+from k3pencil.cli import CHECKS, build_parser, main
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _report(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
 
 
 def test_usage_error_exit_2(capsys):
@@ -23,17 +35,53 @@ def test_series_report_shape(capsys):
         assert c["claim_ref"] == CLAIMS[c["check_id"]][0]
 
 
-def test_flagged_statuses():
-    checks = run_series("domb")
-    by_id = {c["check_id"]: c for c in checks}
+def test_flagged_statuses(capsys):
+    _, report = _report(capsys, ["series", "--op", "domb"])
+    by_id = {c["check_id"]: c for c in report["checks"]}
     assert by_id["domb-stated-operator"]["status"] == "flagged"
     assert by_id["domb-corrected-operator"]["status"] == "pass"
     assert by_id["domb-stated-operator"]["details"]["predicted_b2"] == "825/8"
 
 
-def test_identities_only_filter():
-    checks = run_identities(only="symmetry-group-48")
-    assert [c["check_id"] for c in checks] == ["symmetry-group-48"]
+def test_identities_only_filter(capsys):
+    _, report = _report(capsys, ["identities", "--only", "symmetry-group-48"])
+    assert [c["check_id"] for c in report["checks"]] == ["symmetry-group-48"]
+
+
+def test_only_computes_just_the_named_identity(monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("must not run")
+
+    monkeypatch.setattr(cli, "remarkable_identity_check", boom)
+    code, report = _report(capsys, ["identities", "--only", "symmetry-group-48"])
+    assert code == 0
+    assert [c["status"] for c in report["checks"]] == ["pass"]
+
+
+def test_raising_check_becomes_fail_record(monkeypatch, capsys):
+    def boom(n):
+        raise RuntimeError("boom")
+
+    # sum_a is used by domb-sequence only among the domb checks
+    monkeypatch.setattr(cli, "sum_a", boom)
+    code = main(["series", "--op", "domb"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1
+    by_id = {c["check_id"]: c for c in report["checks"]}
+    assert list(by_id) == ["domb-sequence", "domb-stated-operator", "domb-corrected-operator"]
+    assert by_id["domb-sequence"]["status"] == "fail"
+    assert by_id["domb-sequence"]["details"] == {"error": "RuntimeError: boom"}
+    assert by_id["domb-stated-operator"]["status"] == "flagged"
+    assert by_id["domb-corrected-operator"]["status"] == "pass"
+    assert report["data"]["operator"] == "domb"
+    assert "RuntimeError: boom" in captured.err
+
+
+def test_check_table_matches_claims():
+    ids = [check_id for _, _, check_id, _ in CHECKS]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == set(CLAIMS)
 
 
 def test_lattice_subcommand(capsys):
@@ -53,9 +101,9 @@ def test_out_file(tmp_path, capsys):
     assert report["checks"][0]["status"] == "pass"
 
 
-def test_report_determinism():
-    a = run_identities()
-    b = run_identities()
+def test_report_determinism(capsys):
+    a = _report(capsys, ["identities"])[1]["checks"]
+    b = _report(capsys, ["identities"])[1]["checks"]
 
     def strip(checks):
         return [{k: v for k, v in c.items() if k != "runtime_ms"} for c in checks]
@@ -64,8 +112,7 @@ def test_report_determinism():
 
 
 def test_every_check_has_a_claim_and_doc_is_in_sync():
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    doc = open(os.path.join(here, "docs", "claims.md")).read()
+    doc = open(os.path.join(HERE, "docs", "claims.md")).read()
     assert doc == render_markdown()
     for check_id, (ref, text) in CLAIMS.items():
         assert ref in doc
@@ -75,8 +122,8 @@ def test_every_check_has_a_claim_and_doc_is_in_sync():
 
 def test_parser_subcommands():
     p = build_parser()
-    args = p.parse_args(["picard", "--fiber", "generic", "--jobs", "2"])
-    assert args.fiber == "generic" and args.jobs == 2
+    args = p.parse_args(["picard", "--fiber", "generic"])
+    assert args.fiber == "generic"
 
 
 def test_negative_s_values_parse():
@@ -104,3 +151,28 @@ def test_invalid_jet_order_exits_2(monkeypatch, capsys):
         assert main(["identities", "--only", "symmetry-group-48"]) == 2
         captured = capsys.readouterr()
         assert "K3PENCIL_JET_ORDER" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("spec", ["U + <x>", "<1>"])
+def test_malformed_lattice_spec_exits_2(spec, capsys):
+    assert main(["lattice", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("k3pencil: error:") and not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv", [["lines", "--s", "5"], ["lines", "--s", "1/2"], ["identities", "--only", "bogus"]]
+)
+def test_rejects_unknown_option_value(argv, capsys):
+    assert main(argv) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    readme = open(os.path.join(HERE, "README.md")).read()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("k3pencil ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

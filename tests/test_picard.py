@@ -157,14 +157,6 @@ def test_reflection_fails_for_unrelated_pair():
     assert not rep.ok
 
 
-def test_enumeration_jobs_branch_agrees():
-    cfg = build_divisor_config(1)
-    seq = enumerate_and_filter(cfg, jobs=1)
-    par = enumerate_and_filter(cfg, jobs=3)
-    assert seq.survivor_count == par.survivor_count
-    assert seq.assignments == par.assignments
-
-
 def test_sm1_relations_count():
     res = analyze_fiber(-1)
     assert len(res.labels) - res.picard.rank == 4
