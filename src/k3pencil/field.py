@@ -10,6 +10,7 @@ s with monic denominators, so equality is syntactic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Optional, Union
 
 Rat = Fraction
@@ -22,19 +23,10 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a rational, or None if q is not a square."""
     if q < 0:
         return None
-    pn, pd = q.numerator, q.denominator
-    rn = _isqrt_exact(pn)
-    rd = _isqrt_exact(pd)
-    if rn is None or rd is None:
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 class QPoly:
@@ -197,7 +189,7 @@ class QPoly:
             if c == 0:
                 continue
             if i == 0:
-                parts.append(_fmt_coeff(c))
+                parts.append(str(c))
             else:
                 mon = "s" if i == 1 else f"s^{i}"
                 if c == 1:
@@ -205,7 +197,7 @@ class QPoly:
                 elif c == -1:
                     parts.append(f"-{mon}")
                 else:
-                    parts.append(f"{_fmt_coeff(c)}*{mon}")
+                    parts.append(f"{c}*{mon}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -213,10 +205,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 QP_ZERO = QPoly([])

@@ -1,12 +1,12 @@
 """Exact integral lattice engine: Gram matrices, signatures by rational
-congruence diagonalization, Smith normal form, radical quotients,
-discriminant groups with their finite quadratic forms, and the
-invariant-fingerprint comparison used to identify lattices up to the
-uniqueness theorems."""
+congruence diagonalization, the Smith normal form (from which radical
+quotients, kernels and the dual generators of discriminant groups are read),
+finite quadratic forms, and the invariant-fingerprint comparison used to
+identify lattices up to the uniqueness theorems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -239,12 +239,15 @@ def _split_sum(text: str) -> list[str]:
     return parts
 
 
+_BLOCK_GRAMMAR = "blocks are U, E8, E8(-1) or <n> for an integer n, each with an optional ^k"
+
+
 def _parse_block(part: str) -> GramLattice:
     power = 1
     if "^" in part:
         part, _, exp = part.rpartition("^")
         part = part.strip()
-        power = int(exp)
+        power = _block_int(exp, f"{part}^{exp}")
         if power < 1:
             raise ValueError("block power must be positive")
     base: GramLattice
@@ -256,25 +259,30 @@ def _parse_block(part: str) -> GramLattice:
     elif part == "E8":
         base = GramLattice.from_rows(_e8_cartan(), [f"f{i+1}" for i in range(8)])
     elif part.startswith("<") and part.endswith(">"):
-        n = int(part[1:-1])
+        n = _block_int(part[1:-1], part)
         base = GramLattice.from_rows([[n]], [f"<{n}>"])
     else:
-        raise ValueError(f"unknown lattice block {part!r}")
+        raise ValueError(f"unknown lattice block {part!r}; {_BLOCK_GRAMMAR}")
     out = base
     for _ in range(power - 1):
         out = out.direct_sum(base)
     return out
 
 
-def ade_chain(n: int, negated: bool = True) -> GramLattice:
-    """A_n chain lattice (negated Cartan matrix by default)."""
-    d = 2 if not negated else -2
-    o = -1 if not negated else 1
+def _block_int(text: str, block: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"malformed lattice block {block!r}; {_BLOCK_GRAMMAR}") from None
+
+
+def ade_chain(n: int) -> GramLattice:
+    """A_n chain lattice: the negated Cartan matrix."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = d
+        rows[i][i] = -2
         if i + 1 < n:
-            rows[i][i + 1] = rows[i + 1][i] = o
+            rows[i][i + 1] = rows[i + 1][i] = 1
     return GramLattice.from_rows(rows)
 
 
@@ -333,17 +341,11 @@ def radical_quotient(L: GramLattice) -> GramLattice:
     integer kernel of the Gram map); complement columns of the SNF
     transformation give an integral basis of the quotient."""
     n = L.dim
-    d, p, q = smith_normal_form([list(r) for r in L.gram])
-    kernel_idx = [j for j in range(n) if j >= len(d) or j >= len(d[0]) or d[j][j] == 0]
-    keep_idx = [j for j in range(n) if j not in kernel_idx]
-    basis = [[q[i][j] for i in range(n)] for j in keep_idx]  # rows are vectors
-    g = [[0] * len(keep_idx) for _ in range(len(keep_idx))]
     gram = [list(r) for r in L.gram]
-    for a_i, va in enumerate(basis):
-        gv = [sum(gram[r][c] * va[c] for c in range(n)) for r in range(n)]
-        for b_i, vb in enumerate(basis):
-            g[a_i][b_i] = sum(vb[r] * gv[r] for r in range(n))
-    labels = tuple(f"q{i+1}" for i in range(len(keep_idx)))
+    d, _, q = smith_normal_form(gram)
+    basis = [[q[r][j] for r in range(n)] for j in range(n) if d[j][j] != 0]  # rows are vectors
+    g = mat_mul(mat_mul(basis, gram), transpose(basis))
+    labels = tuple(f"q{i+1}" for i in range(len(basis)))
     return GramLattice.from_rows(g, labels)
 
 
@@ -415,77 +417,53 @@ class LatticeInvariants:
         return out
 
 
+def discriminant_generators(L: GramLattice) -> tuple[list[int], IntMatrix]:
+    """Generators of the discriminant group L^v / L of a nondegenerate L, read
+    off the Smith normal form P * G * Q = D of its Gram matrix G.
+
+    L^v / L is ZZ^n / G ZZ^n in dual-basis coordinates, and P carries it onto
+    ZZ^n / D ZZ^n, so generator i is P^-1 e_(start+i), of order d_i, the i-th
+    diagonal entry of D above 1.  Since G^-1 * P^-1 = Q * D^-1, its coordinate
+    vector in the basis of L is G^-1 P^-1 e_(start+i) = c_i / d_i, where c_i
+    is column start+i of Q.  Returns the orders d_i and the integer c_i."""
+    n = L.dim
+    d, _, q = smith_normal_form([list(r) for r in L.gram])
+    if any(d[i][i] == 0 for i in range(n)):
+        raise ValueError("degenerate lattice: call radical_quotient first")
+    orders = [d[i][i] for i in range(n) if d[i][i] > 1]
+    start = n - len(orders)
+    return orders, [[q[r][start + i] for r in range(n)] for i in range(len(orders))]
+
+
 def discriminant_group_form(L: GramLattice) -> LatticeInvariants:
     """Invariants of a nondegenerate even lattice, with the finite quadratic
-    form on the discriminant group computed through the dual basis."""
-    n = L.dim
-    det = L.det()
-    if det == 0:
-        raise ValueError("degenerate lattice: call radical_quotient first")
+    form on the discriminant group: for the generators c_i / d_i of
+    ``discriminant_generators``, q(g_i) = c_i.G.c_i / d_i^2 mod 2 and
+    b(g_i, g_j) = c_i.G.c_j / (d_i d_j) mod 1."""
+    orders, cols = discriminant_generators(L)
     if not L.is_even():
         raise ValueError("discriminant form requires an even lattice")
     rank, pos, neg, zero = rank_signature(L)
-    d, p, q = smith_normal_form([list(r) for r in L.gram])
-    orders = [d[i][i] for i in range(n) if d[i][i] > 1]
-    start = n - len(orders)
-    ginv = _fraction_inverse([list(r) for r in L.gram])
-    # generator i of the quotient pulls back to P^{-1} e_(start+i); in the
-    # dual basis its coordinate vector is G^{-1} P^{-1} e_(start+i)
-    pinv = _int_inverse(p)
-    gens = []
-    for i in range(len(orders)):
-        col = [Fraction(pinv[r][start + i]) for r in range(n)]
-        vec = [sum(ginv[r][c] * col[c] for c in range(n)) for r in range(n)]
-        gens.append(vec)
-    gram = [list(r) for r in L.gram]
-
-    def pair(u, v) -> Fraction:
-        return sum(u[r] * gram[r][c] * v[c] for r in range(n) for c in range(n))
-
-    qs = tuple(pair(g, g) % 2 for g in gens)
-    bs = tuple(tuple(pair(g, h) % 1 for h in gens) for g in gens)
+    gcols = mat_mul(L.gram, transpose(cols))
+    pairs = [
+        [Fraction(sum(x * g[j] for x, g in zip(c, gcols)), di * dj) for j, dj in enumerate(orders)]
+        for c, di in zip(cols, orders)
+    ]
+    qs = tuple(pairs[i][i] % 2 for i in range(len(orders)))
+    bs = tuple(tuple(x % 1 for x in row) for row in pairs)
     disc = DiscForm(tuple(orders), qs, bs)
     return LatticeInvariants(rank, (pos, neg, zero), tuple(orders), disc)
 
 
 def lattice_invariants(L: GramLattice) -> LatticeInvariants:
-    """Invariants after passing to the radical quotient when degenerate."""
-    M = L if L.det() != 0 else radical_quotient(L)
+    """Invariants after passing to the radical quotient M when degenerate.
+    The form factors through L/rad, so by Sylvester's law of inertia L has
+    the signature of M plus dim L - dim M zeros."""
+    if L.det() != 0:
+        return discriminant_group_form(L)
+    M = radical_quotient(L)
     inv = discriminant_group_form(M)
-    if L.dim != M.dim:
-        rank, pos, neg, zero = rank_signature(L)
-        inv = LatticeInvariants(rank, (pos, neg, zero), inv.invariant_factors, inv.disc_form)
-    return inv
-
-
-def _fraction_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
-def _int_inverse(m: IntMatrix) -> IntMatrix:
-    frac = _fraction_inverse(m)
-    out = []
-    for row in frac:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(r)
-    return out
+    return replace(inv, signature=inv.signature[:2] + (L.dim - M.dim,))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .lattice import (
     fingerprints_match,
     lattice_invariants,
     rank_signature,
+    smith_normal_form,
     standard_lattice,
 )
 from .singular import ProjPoint, intersection_multiplicity, multiplicity_at
@@ -368,12 +369,14 @@ def _point_bijections(offA, offB):
 
 def _solve_center(assignment) -> Optional[list[Fraction]]:
     """Exact linear solve for the homology center: M(P) parallel to Q for
-    each corresponding pair gives linear conditions on the center."""
-    rows: list[list[Fraction]] = []
-    a = [Fraction(x) for x in REFLECTION_AXIS]
+    each corresponding pair gives linear conditions on the center, with
+    integer coefficients since the singular-table points are integral.  Their
+    kernel is read off the Smith normal form P * R * V = D of the condition
+    matrix R, as the columns of V past the rank of D; a one-dimensional
+    kernel is scaled so that its last nonzero coordinate is 1."""
+    rows: list[list[int]] = []
+    a = REFLECTION_AXIS
     for P, Q in assignment:
-        P = [Fraction(x) for x in P]
-        Q = [Fraction(x) for x in Q]
         aP = sum(ai * pi for ai, pi in zip(a, P))
         # M(P) = (a.c) P - 2 (a.P) c ; cross(M(P), Q) = 0 is linear in c
         for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -384,42 +387,15 @@ def _solve_center(assignment) -> Optional[list[Fraction]]:
                 coef -= 2 * aP * ((1 if t == i else 0) * Q[j] - (1 if t == j else 0) * Q[i])
                 row.append(coef)
             rows.append(row)
-    null = _nullspace(rows)
-    if len(null) != 1:
-        return None
-    c = null[0]
+    d, _, v = smith_normal_form(rows)
+    if sum(d[i][i] != 0 for i in range(min(len(rows), 3))) != 2:
+        return None      # the kernel is not one-dimensional
+    kernel = [v[t][2] for t in range(3)]
+    last = next(x for x in reversed(kernel) if x != 0)
+    c = [Fraction(x, last) for x in kernel]
     if sum(ai * ci for ai, ci in zip(a, c)) == 0:
         return None      # center on the axis: not a homology
     return c
-
-
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = [row[:] for row in rows if any(x != 0 for x in row)]
-    ncols = 3
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        out.append(v)
-    return out
 
 
 def _certify_homology(m, cubicsA, cubicsB) -> Optional[str]:

@@ -531,8 +531,7 @@ def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = No
             return QQ.from_rat(x.a.eval(s0) + x.b.eval(s0) * alpha0)
 
         return target, fmap
-    root = _fraction_sqrt(m0) if m0 >= 0 else None
-    if m0 == 0 or root is not None:
+    if m0 == 0 or _fraction_sqrt(m0) is not None:
         raise ValueError(
             "alpha^2 specializes to a square; provide an explicit alpha value"
         )

@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from .field import _fraction_sqrt
+
 IntPoly = Tuple[int, ...]   # dense theta-polynomial, low to high
 
 
@@ -282,21 +284,17 @@ class SurdSum:
         bits = []
         for c, m in self.parts:
             if m == 1:
-                bits.append(_frac_str(c))
+                bits.append(str(c))
             elif c == 1:
                 bits.append(f"sqrt({m})")
             elif c == -1:
                 bits.append(f"-sqrt({m})")
             else:
-                bits.append(f"{_frac_str(c)}*sqrt({m})")
+                bits.append(f"{c}*sqrt({m})")
         out = bits[0]
         for b in bits[1:]:
             out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
         return out
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _poly_str(p: Sequence[int], var: str) -> str:
@@ -449,9 +447,13 @@ def _quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[SurdSum]:
     if disc < 0:
         raise ValueError("complex roots not supported")
     base = SurdSum.rational(-b / (2 * a))
-    # sqrt(N/D) = sqrt(N*D)/D, so sqrt(disc)/(2a) = sqrt(N*D) / (2*a*D)
-    rad = SurdSum.root(1 / (2 * a * disc.denominator), disc.numerator * disc.denominator)
+    rad = _surd_sqrt(disc, 1 / (2 * a))
     return [base + rad, base + (-rad)]
+
+
+def _surd_sqrt(r: Fraction, c=1) -> SurdSum:
+    """c * sqrt(r) for a rational r >= 0: sqrt(N/D) = sqrt(N*D)/D."""
+    return SurdSum.root(Fraction(c) / r.denominator, r.numerator * r.denominator)
 
 
 def _sqrt_surd(u: SurdSum) -> list[SurdSum]:
@@ -459,25 +461,17 @@ def _sqrt_surd(u: SurdSum) -> list[SurdSum]:
     a + b sqrt(d) (when a^2 - b^2 d is a rational square)."""
     r = u.as_fraction()
     if r is not None:
-        if r < 0:
-            raise ValueError("negative radicand")
-        root = SurdSum.root(Fraction(1, r.denominator), r.numerator * r.denominator)
+        root = _surd_sqrt(r)
         return [root, -root]
     if len(u.parts) == 2 and u.parts[0][1] == 1:
-        a, b_d = u.parts[0][0], u.parts[1]
-        b, d = b_d
-        inner = a * a - b * b * d
-        if inner >= 0:
-            c2 = inner
-            cn = c2.numerator * c2.denominator
-            s = isqrt(cn)
-            if s * s == cn:
-                cval = Fraction(s, c2.denominator)
-                half1 = (a + cval) / 2
-                half2 = (a - cval) / 2
-                if half1 >= 0 and half2 >= 0:
-                    r1 = SurdSum.root(Fraction(1, half1.denominator), half1.numerator * half1.denominator)
-                    r2 = SurdSum.root(Fraction(1, half2.denominator), half2.numerator * half2.denominator)
-                    root = r1 + r2 if b > 0 else r1 + (-r2)
-                    return [root, -root]
+        (a, _), (b, d) = u.parts
+        cval = _fraction_sqrt(a * a - b * b * d)
+        if cval is not None:
+            half1 = (a + cval) / 2
+            half2 = (a - cval) / 2
+            if half1 >= 0 and half2 >= 0:
+                r1 = _surd_sqrt(half1)
+                r2 = _surd_sqrt(half2)
+                root = r1 + r2 if b > 0 else r1 + (-r2)
+                return [root, -root]
     raise ValueError(f"cannot denest sqrt of {u}")

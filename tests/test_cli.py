@@ -153,11 +153,18 @@ def test_invalid_jet_order_exits_2(monkeypatch, capsys):
         assert "K3PENCIL_JET_ORDER" in captured.err and not captured.out
 
 
-@pytest.mark.parametrize("spec", ["U + <x>", "<1>"])
+# the part of stderr that locates the fault: the bad block, or the reason
+LATTICE_SPEC_ERRORS = {"U + <x>": "'<x>'", "U^x + <2>": "'U^x'", "<1>": "even lattice"}
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPEC_ERRORS)
 def test_malformed_lattice_spec_exits_2(spec, capsys):
     assert main(["lattice", "--spec", spec]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("k3pencil: error:") and not captured.out
+    assert LATTICE_SPEC_ERRORS[spec] in captured.err
+    if "x" in spec:
+        assert "U, E8, E8(-1) or <n>" in captured.err and "^k" in captured.err
 
 
 @pytest.mark.parametrize(

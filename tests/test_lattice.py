@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3pencil.lattice import (
     GramLattice,
     ade_chain,
     det_int,
     disc_forms_isomorphic,
+    discriminant_generators,
     discriminant_group_form,
     invariants_match,
+    lattice_invariants,
     mat_mul,
     radical_quotient,
     rank_signature,
@@ -45,7 +49,7 @@ def test_rank_one_blocks():
 
 
 def test_parse_errors():
-    for bad in ("", "U +", "E7", "<x>", "U ^ 0"):
+    for bad in ("", "U +", "E7", "<x>", "U^x", "U ^ 0"):
         with pytest.raises(ValueError):
             standard_lattice(bad)
 
@@ -202,3 +206,66 @@ def test_snf_nonsquare():
     D, P, Q = smith_normal_form(M)
     assert mat_mul(mat_mul(P, M), Q) == D
     assert D[0][0] == 2 and D[1][1] % D[0][0] == 0
+
+
+# lattice_invariants(...).describe() of the Picard and transcendental models
+FIBER_MODEL_INVARIANTS = {
+    "U + E8(-1)^2 + <-12>": (19, [1, 18, 0], [12], ["23/12"], [["11/12"]]),
+    "U + <12>": (3, [2, 1, 0], [12], ["1/12"], [["1/12"]]),
+    "U + E8(-1)^2 + <-4> + <-2>": (20, [1, 19, 0], [2, 4], ["3/2", "7/4"], [["1/2", "0"], ["0", "3/4"]]),
+    "<2> + <4>": (2, [2, 0, 0], [2, 4], ["1/2", "1/4"], [["1/2", "0"], ["0", "1/4"]]),
+    "U + E8(-1)^2 + <-12> + <-2>": (20, [1, 19, 0], [2, 12], ["3/2", "23/12"], [["1/2", "0"], ["0", "11/12"]]),
+    "<2> + <12>": (2, [2, 0, 0], [2, 12], ["1/2", "1/12"], [["1/2", "0"], ["0", "1/12"]]),
+}
+
+
+@pytest.mark.parametrize("spec", FIBER_MODEL_INVARIANTS)
+def test_fiber_model_invariants_pinned(spec):
+    rank, signature, factors, q, b = FIBER_MODEL_INVARIANTS[spec]
+    assert lattice_invariants(standard_lattice(spec)).describe() == {
+        "rank": rank,
+        "signature": signature,
+        "invariant_factors": factors,
+        "disc_q": q,
+        "disc_b": b,
+    }
+
+
+def test_degenerate_signature_counts_the_radical():
+    A = standard_lattice("<-12> + <2> + U").direct_sum(GramLattice.from_rows([[0] * 3] * 3))
+    U = _random_unimodular(A.dim, random.Random(37))
+    L = GramLattice.from_rows(mat_mul(mat_mul(U, [list(r) for r in A.gram]), transpose(U)))
+    inv = lattice_invariants(L)
+    assert inv.signature == rank_signature(L)[1:] == (2, 2, 3)
+    assert inv.rank == 4 and inv.invariant_factors == (2, 12)
+
+
+_block = st.one_of(
+    st.sampled_from(["U", "E8(-1)", "E8"]),
+    st.integers(-6, 6).filter(bool).map(lambda k: f"<{2 * k}>"),
+)
+_steps = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from([-2, -1, 1, 2])), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(_block, min_size=1, max_size=4), _steps)
+def test_dual_generators_of_even_lattices(blocks, steps):
+    """For random block sums under a unimodular change of basis, each
+    generator v = c / d of the discriminant group is in the dual lattice
+    (G v integral) and has order exactly d in L^v / L."""
+    A = [list(r) for r in standard_lattice(" + ".join(blocks)).gram]
+    n = len(A)
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, c in steps:
+        i, j = i % n, j % n
+        if i != j:
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    G = mat_mul(mat_mul(U, A), transpose(U))
+    orders, cols = discriminant_generators(GramLattice.from_rows(G))
+    prod = 1
+    for d, c in zip(orders, cols):
+        prod *= d
+        v = [Fraction(x, d) for x in c]
+        assert all(sum(g * x for g, x in zip(row, v)).denominator == 1 for row in G)
+        assert next(k for k in range(1, d + 1) if all((k * x).denominator == 1 for x in v)) == d
+    assert prod == abs(det_int(G))

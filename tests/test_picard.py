@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from k3pencil.lattice import (
@@ -9,6 +11,8 @@ from k3pencil.lattice import (
     standard_lattice,
 )
 from k3pencil.picard import (
+    _homology_matrix,
+    _solve_center,
     analyze_fiber,
     build_divisor_config,
     enumerate_and_filter,
@@ -169,3 +173,50 @@ def test_rank_bound_flag():
     assert res.survivor_count == 4
     with pytest.raises(ValueError, match="rank bound"):
         enumerate_and_filter(cfg, rank_bound=5)
+
+
+# the homology with centre c = (1, 2, -3) sends (1:0:0) to (2:-2:3) and
+# (0:1:0) to (-1:1:3); its centre is returned scaled to last coordinate 1
+CENTER = [Fraction(-1, 3), Fraction(-2, 3), Fraction(1)]
+
+
+def _maps_to(center, P, Q):
+    m = _homology_matrix(center)
+    img = [sum(m[i][j] * P[j] for j in range(3)) for i in range(3)]
+    return all(img[i] * Q[j] == img[j] * Q[i] for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [[((1, 0, 0), (2, -2, 3))], [((1, 0, 0), (2, -2, 3)), ((0, 1, 0), (-1, 1, 3))]],
+    ids=["one-pair", "two-pairs"],
+)
+def test_solve_center_rank_2(assignment):
+    center = _solve_center(assignment)
+    assert center == CENTER
+    assert all(_maps_to(center, P, Q) for P, Q in assignment)
+
+
+def test_solve_center_scales_last_nonzero_coordinate():
+    # kernel spanned by (1, 1, 0): the last coordinate is zero
+    assert _solve_center([((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0))]) == [1, 1, 0]
+
+
+def test_solve_center_rank_3_is_none():
+    assert _solve_center([((1, 0, 0), (2, -2, 3)), ((0, 1, 0), (-1, 1, 3)), ((1, 1, 2), (2, 1, 0))]) is None
+
+
+def test_solve_center_kernel_dim_2_is_none():
+    # an axis point sent elsewhere: every row is a multiple of the axis
+    assert _solve_center([((1, 0, 1), (0, 1, 1))]) is None
+
+
+def test_solve_center_zero_rows_is_none():
+    # an axis point fixed: every condition vanishes
+    assert _solve_center([((1, 0, 1), (1, 0, 1)), ((1, 1, 2), (2, 2, 4))]) is None
+    assert _solve_center([]) is None
+
+
+def test_solve_center_on_axis_is_none():
+    # the one-dimensional kernel is spanned by (1, 0, 1), a point of the axis
+    assert _solve_center([((1, 0, 0), (1, 0, 1))]) is None
