@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="s_value",
         choices=["generic", "1", "-1"],
         default="generic",
-        help="the generic fibre (checks and data) or s = 1 or s = -1 (data only)",
+        help="the generic fibre (checks and data) or s = 1 or s = -1 (data only; exit code 1)",
     )
     sp = add("lattice", "invariants of a standard lattice expression")
     sp.add_argument("--spec", required=True, help='e.g. "U + E8(-1)^2 + <-12>"')
@@ -541,6 +541,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
+    if not checks and args.command != "lattice":
+        print("k3pencil: error: no check ran", file=sys.stderr)
+        return 1
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 

@@ -147,10 +147,52 @@ def restrict_to_line(poly: MPoly, line: MPoly) -> tuple[MPoly, str]:
     return poly.set_var_poly(v, image), v
 
 
+#: The place s = 4/3, alpha = 2/3 of QQ(s)(alpha), alpha^2 = s^2 - s, at which
+#: ``even_contact_test`` first looks for odd contact.  It is a smooth rational
+#: point of the conic, since alpha^2 = 4/9 != 0 there.
+CONTACT_PLACE = (Fraction(4, 3), Fraction(2, 3))
+
+
+def _odd_at_place(restriction: MPoly, v: str) -> bool:
+    """True only if the binary form R = restriction, over a field containing
+    s, is not unit * q^2: it meets the sextic with odd contact somewhere.
+
+    R is specialized at CONTACT_PLACE (alpha at 2/3 when the field has it).
+    When no coefficient has a pole there and the specialization R0 is
+    nonzero, True means R0 has a root of odd multiplicity on P^1 over QQ: its
+    v-exponent is odd, or Yun's algorithm over QQ finds an odd exponent in
+    R0(u, 1).  Sound: the place is a smooth rational point of the curve of
+    the field, so its local ring O is a discrete valuation ring with residue
+    field QQ, and an a + b*alpha with a, b regular at s = 4/3 lies in O with
+    residue a(4/3) + b(4/3) * 2/3.  Suppose R = u * q^2.  Over O, Gauss's
+    lemma (the content of a product is the sum of the contents) lets q be
+    taken primitive; then the content of R is the valuation of u.  R is
+    integral with a nonzero reduction, so u is a unit, R0 = u0 * q0^2 with u0
+    and q0 nonzero, and every multiplicity of R0 is even.  False means "not
+    certified": the caller runs the exact path."""
+    field = restriction.field
+    if not field.with_s:
+        return False
+    s0, alpha0 = CONTACT_PLACE
+    try:
+        r0 = specialize(restriction, s0, alpha0 if field.alpha_square is not None else None)
+    except ValueError:
+        return False
+    if r0.is_zero():
+        return False
+    iv = r0.vars.index(v)
+    if min(e[iv] for e in r0.terms) % 2:
+        return True
+    return any(e % 2 for _, e in squarefree_decomposition(r0.set_var(v, QQ.one)))
+
+
 def even_contact_test(line: MPoly, config: BranchConfig):
     """Whether the line meets the branch sextic with even multiplicity
     everywhere (including at infinity on the line).  Returns
-    (flag, certificate, unit): on even contact, restriction = unit * q^2."""
+    (flag, certificate, unit): on even contact, restriction = unit * q^2.
+    Over QQ(s) and QQ(s)(alpha), odd contact is first looked for at a
+    rational place (``_odd_at_place``); the exact squarefree decomposition
+    runs when that finds none."""
     restriction, gone = restrict_to_line(config.sextic, line)
     if restriction.is_zero():
         raise ValueError("line is a component of the branch sextic")
@@ -167,6 +209,8 @@ def even_contact_test(line: MPoly, config: BranchConfig):
         q = MPoly.variable(restriction.field, restriction.vars, u) ** (k // 2)
         return even, q, restriction.terms[next(iter(restriction.terms))]
     u, v = par_vars
+    if _odd_at_place(restriction, v):
+        return False, None, None
     iu, iv = restriction.vars.index(u), restriction.vars.index(v)
     dv = min(e[iv] for e in restriction.terms)
     affine = restriction.set_var(v, restriction.field.one)

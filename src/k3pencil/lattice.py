@@ -1,8 +1,9 @@
-"""Exact integral lattice engine: Gram matrices, signatures by rational
-congruence diagonalization, the Smith normal form (from which radical
-quotients, kernels and the dual generators of discriminant groups are read),
-finite quadratic forms, and the invariant-fingerprint comparison used to
-identify lattices up to the uniqueness theorems."""
+"""Exact integral lattice engine: Gram matrices, ranks and determinants by
+one fraction-free integer elimination, signatures by rational congruence
+diagonalization, the Smith normal form (from which radical quotients, kernels
+and the dual generators of discriminant groups are read), finite quadratic
+forms, and the invariant-fingerprint comparison used to identify lattices up
+to the uniqueness theorems."""
 
 from __future__ import annotations
 
@@ -43,27 +44,57 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)]
 
 
-def det_int(m: IntMatrix) -> int:
-    """Fraction-free (Bareiss) integer determinant."""
-    n = len(m)
-    if n == 0:
-        return 1
+def _bareiss_echelon(m: IntMatrix) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss 1968) row echelon elimination of an integer
+    matrix; a column with no nonzero entry left below the pivot rows is
+    skipped.  Returns the pivots and the sign of the row permutation.
+
+    After k pivots every entry of the rows below is the minor of m on the k
+    pivot rows and columns plus its own row and column, so each division by
+    the previous pivot is exact (Sylvester's identity) and the k-th pivot is a
+    nonzero k-minor.  Hence the number of pivots is the rank, and for a
+    square m of full rank the last pivot is the determinant of the
+    row-permuted matrix."""
     a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, rows):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        pivots.append(p)
+        prev = p
+    return pivots, sign
+
+
+def rank_int(m: IntMatrix) -> int:
+    """Exact rank of an integer matrix: the pivot count of the Bareiss
+    elimination."""
+    return len(_bareiss_echelon(m)[0])
+
+
+def det_int(m: IntMatrix) -> int:
+    """Integer determinant of a square matrix, read off the Bareiss
+    elimination: the signed last pivot at full rank, else 0."""
+    pivots, sign = _bareiss_echelon(m)
+    if len(pivots) < len(m):
+        return 0
+    return sign * pivots[-1] if pivots else 1
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -1,6 +1,7 @@
 """Divisor configurations on the fibres, enumeration of the sheet-ambiguous
-intersection numbers under the rank filter, Picard/transcendental lattice
-invariants, and the reflection identifying the remaining special fibres.
+intersection numbers under the integer rank filter, Picard/transcendental
+lattice invariants, and the reflection identifying the remaining special
+fibres.
 
 The exceptional-divisor incidences of the lifted lines are derived from
 exact local geometry: a line through a singular point of the branch sextic
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Optional, Sequence, Union
 
 from .field import QQ, QS
@@ -22,6 +23,7 @@ from .pencil import (
     GENERIC_BRANCH_POINTS,
     XYZ,
     branch_cubic,
+    branch_cubic_at,
     fiber_branch_components,
     fiber_singular_table,
 )
@@ -31,7 +33,7 @@ from .lattice import (
     LatticeInvariants,
     fingerprints_match,
     lattice_invariants,
-    rank_signature,
+    rank_int,
     smith_normal_form,
     standard_lattice,
 )
@@ -73,6 +75,15 @@ class DivisorConfig:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    def complete(self, bits: Sequence[int]) -> list[list[int]]:
+        """The full Gram matrix of one sheet assignment: bit i sets the first
+        (0) or the second (1) slot of ambiguous pair i to 1."""
+        m = [row[:] for row in self.base]
+        for bit, (slot_p, slot_m) in zip(bits, self.ambiguous_pairs):
+            (ri, ci) = slot_p if bit == 0 else slot_m
+            m[ri][ci] = m[ci][ri] = 1
+        return m
 
 
 @dataclass
@@ -217,22 +228,13 @@ def build_divisor_config(fiber: Union[str, int, Fraction]) -> DivisorConfig:
 
 def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20) -> FiberResult:
     """Run through all sheet assignments, keep those whose completed Gram
-    matrix has rank at most the bound, and extract the common invariants."""
-
-    def complete(bits):
-        m = [row[:] for row in config.base]
-        for bit, (slot_p, slot_m) in zip(bits, config.ambiguous_pairs):
-            (ri, ci) = slot_p if bit == 0 else slot_m
-            m[ri][ci] = m[ci][ri] = 1
-        return m
-
-    def branch(bits):
-        m = complete(bits)
-        rank, _, _, _ = rank_signature(GramLattice.from_rows(m, config.labels))
-        return bits, m, rank
-
-    results = [branch(bits) for bits in product((0, 1), repeat=len(config.ambiguous_pairs))]
-    survivors = [(bits, m) for bits, m, rank in results if rank <= rank_bound]
+    matrix has rank at most the bound (the integer rank filter: the exact
+    rank of the Bareiss elimination, ``rank_int``), and extract the common
+    invariants of the survivors."""
+    completions = [
+        (bits, config.complete(bits)) for bits in product((0, 1), repeat=len(config.ambiguous_pairs))
+    ]
+    survivors = [(bits, m) for bits, m in completions if rank_int(m) <= rank_bound]
     if not survivors:
         raise ValueError("no assignment satisfies the rank bound")
     invs = []
@@ -320,8 +322,8 @@ def reflection_isomorphism_check(pair: tuple) -> ReflectionReport:
     exactly from the correspondence of off-axis singular points and the map
     is certified on the branch cubics themselves."""
     sA, sB = (Fraction(v) for v in pair)
-    cubicsA = [_specialize_cubic(i, sA) for i in range(2)]
-    cubicsB = [_specialize_cubic(i, sB) for i in range(2)]
+    cubicsA = [branch_cubic_at(i, sA) for i in range(2)]
+    cubicsB = [branch_cubic_at(i, sB) for i in range(2)]
     offA = _off_axis(fiber_singular_table(sA))
     offB = _off_axis(fiber_singular_table(sB))
     if len(offA) != len(offB):
@@ -338,16 +340,8 @@ def reflection_isomorphism_check(pair: tuple) -> ReflectionReport:
     return ReflectionReport(False, tuple(pair), None, None)
 
 
-def _specialize_cubic(i: int, s0: Fraction) -> MPoly:
-    from .pencil import branch_cubic_at
-
-    return branch_cubic_at(i, s0)
-
-
 def _point_bijections(offA, offB):
     """Type-respecting bijections between the off-axis singular points."""
-    from itertools import permutations as perms
-
     byA: dict[int, list] = {}
     byB: dict[int, list] = {}
     for c, k in offA:
@@ -359,7 +353,7 @@ def _point_bijections(offA, offB):
     keys = sorted(byA)
     if any(len(byA[k]) != len(byB[k]) for k in keys):
         return
-    pools = [list(perms(byB[k])) for k in keys]
+    pools = [list(permutations(byB[k])) for k in keys]
     for combo in product(*pools):
         assignment = []
         for k, images in zip(keys, combo):

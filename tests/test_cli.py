@@ -175,6 +175,18 @@ def test_rejects_unknown_option_value(argv, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s_value", ["1", "-1"])
+def test_no_check_ran_exits_1(s_value, capsys):
+    # the special fibres' line tables are data only: the report is written,
+    # but a report that verified nothing does not exit 0
+    assert main(["lines", "--s", s_value]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["checks"] == []
+    assert report["data"]["lines"] and report["data"]["matrix"]
+    assert captured.err == "k3pencil: error: no check ran\n"
+
+
 def test_readme_cli_lines_parse():
     readme = open(os.path.join(HERE, "README.md")).read()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)

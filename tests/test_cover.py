@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3pencil import QQ, QSA, MPoly
+from k3pencil import QQ, QSA, MPoly, cover
 from k3pencil.cover import (
     BranchConfig,
     REFERENCE_LINE_MATRIX,
@@ -56,6 +56,21 @@ def test_even_contact_counterexample(cfg):
     x, y, z = MPoly.gens(QSA, ("x", "y", "z"))
     flag, _, _ = even_contact_test(z - x - 2 * y, cfg)
     assert not flag
+
+
+def test_control_line_decided_at_the_place(cfg, monkeypatch):
+    # the odd contact of z = x + 2y is proved at CONTACT_PLACE over QQ:
+    # Yun's algorithm over QQ(s)(alpha) never runs
+    exact = cover.squarefree_decomposition
+
+    def over_qq_only(p):
+        if p.field.alpha_square is not None:
+            raise AssertionError("squarefree decomposition over a field with alpha")
+        return exact(p)
+
+    monkeypatch.setattr(cover, "squarefree_decomposition", over_qq_only)
+    x, y, z = MPoly.gens(QSA, ("x", "y", "z"))
+    assert even_contact_test(z - x - 2 * y, cfg) == (False, None, None)
 
 
 def test_line_component_of_sextic_rejected():

@@ -4,7 +4,12 @@ against the exact path it replaces or the known answer.
 * integer Bareiss (resultants over QQ) vs the generic MPoly Bareiss;
 * the QQ(s) coprimality certificate in gcd_poly vs the Euclidean gcd;
 * the series Newton loop of milnor_ade_classify on A_k normal forms moved
-  by a random invertible linear change and translation.
+  by a random invertible linear change and translation;
+* the integer Bareiss rank and determinant of the lattice engine vs the
+  Fraction diagonalization rank_signature and the earlier Bareiss det_int,
+  on symmetric integer matrices, rank-deficient ones included;
+* the odd-contact certificate at CONTACT_PLACE vs the exact squarefree
+  path of even_contact_test on binary forms over QQ(s)(alpha).
 """
 
 from fractions import Fraction
@@ -13,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from k3pencil import QQ, QS, MPoly
+from k3pencil import QQ, QS, QSA, MPoly, cover
+from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
 from k3pencil.field import QPoly, RatFunc
+from k3pencil.lattice import GramLattice, det_int, rank_int, rank_signature
 from k3pencil.polyops import (
     COPRIME_TEST_POINTS,
     _bareiss_det,
@@ -24,6 +31,7 @@ from k3pencil.polyops import (
     _sylvester_rows,
     gcd_poly,
     resultant,
+    specialize,
 )
 from k3pencil.singular import milnor_ade_classify
 
@@ -199,3 +207,168 @@ def test_series_milnor_on_moved_normal_forms(field, k, m_entries, s_entries, spa
     if k > 1:
         with pytest.raises(ValueError, match="jet order"):
             milnor_ade_classify(f, P, jet_order=k)
+
+
+# -- the integer Bareiss rank and determinant ----------------------------------
+
+
+def _row_by_row_det(m):
+    """The square-only Bareiss determinant that det_int was before it became a
+    reading of the shared row echelon elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """A + A^T, or B^T B with B of k <= n rows (rank at most k), then up to
+    two rows and columns zeroed."""
+    n = draw(st.integers(1, 7))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        m = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    else:
+        k = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+        m = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+    for z in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for t in range(n):
+            m[z][t] = m[t][z] = 0
+    return m
+
+
+@SETTINGS
+@given(symmetric_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 0, 0], [1, 0, 2]])
+@example([[2, 4], [4, 8]])
+def test_integer_rank_and_det_match_exact(m):
+    assert det_int(m) == _row_by_row_det(m)
+    assert rank_int(m) == rank_signature(GramLattice.from_rows(m))[0]
+
+
+def test_det_int_of_empty_matrix():
+    assert det_int([]) == 1
+
+
+# -- odd contact at a rational place -------------------------------------------
+
+XYZ = ("x", "y", "z")
+X, Y, Z = MPoly.gens(QSA, XYZ)
+S, ALPHA = QSA.s(), QSA.alpha()
+
+
+def _coeffs(with_alpha: bool):
+    """a + b*alpha with a, b in QQ[s] of degree <= 1 (b = 0 without alpha):
+    none has a pole, finitely many vanish at the place."""
+    b = st.tuples(small_int, small_int) if with_alpha else st.just((0, 0))
+    return st.tuples(small_int, small_int, b).map(
+        lambda c: QSA.from_rat(c[0]) + S * c[1] + ALPHA * (QSA.from_rat(c[2][0]) + S * c[2][1])
+    )
+
+
+coeff_qsa = _coeffs(True)
+nonzero_qsa = coeff_qsa.filter(lambda c: not c.is_zero())
+
+
+def _binary_form(coeffs: list) -> MPoly:
+    d = len(coeffs) - 1
+    return sum((X ** i * Y ** (d - i) * c for i, c in enumerate(coeffs)), MPoly.zero(QSA, XYZ))
+
+
+def _binary_forms(coeff, degree: int):
+    return st.lists(coeff, min_size=2, max_size=degree + 1).map(_binary_form).filter(lambda q: not q.is_zero())
+
+
+# Yun's algorithm over QQ(s)(alpha) grows its coefficients fast: the exact
+# path on a form of odd contact and degree 4 or 5 does not finish in a
+# test's time, so q is kept linear over QQ(s) where the exact path must
+# decide an odd form
+quadratic_qsa = _binary_forms(coeff_qsa, 2)
+linear_qs = _binary_forms(_coeffs(False), 1)
+EXACT_SETTINGS = settings(SETTINGS, max_examples=30)
+
+
+def _contact(form: MPoly):
+    """even_contact_test on the line z = 0 of a branch curve whose restriction
+    to it is the given binary form in x, y."""
+    return even_contact_test(Z, BranchConfig("form", QSA, form, form, form, []))
+
+
+def _exact_contact(form: MPoly):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_odd_at_place", lambda restriction, v: False)
+        return _contact(form)
+
+
+def _regular_at_place(form: MPoly) -> bool:
+    try:
+        return not specialize(form, *CONTACT_PLACE).is_zero()
+    except ValueError:
+        return False
+
+
+def _assert_certificate(form: MPoly, result):
+    flag, q, unit = result
+    assert flag
+    assert (q * q * unit - form).is_zero()
+
+
+@EXACT_SETTINGS
+@given(nonzero_qsa, quadratic_qsa)
+def test_place_certificate_keeps_even_forms_even(u, q):
+    # the certificate never fires, so the exact path decides
+    form = q * q * u
+    assert not _odd_at_place(form, "y")
+    _assert_certificate(form, _contact(form))
+
+
+@EXACT_SETTINGS
+@given(nonzero_qsa, linear_qs, coeff_qsa)
+def test_place_certificate_finds_an_odd_root(u, q, beta):
+    form = q * q * u * (X - Y * beta)
+    # a form of odd degree regular and nonzero at the place always has an
+    # odd multiplicity there
+    if _regular_at_place(form):
+        assert _odd_at_place(form, "y")
+    assert _contact(form) == _exact_contact(form) == (False, None, None)
+
+
+@EXACT_SETTINGS
+@given(nonzero_qsa, linear_qs)
+def test_even_at_the_place_but_odd_generically_falls_back(u, q):
+    # x - s y and x - 4/3 y meet at the place: the reduction is a square
+    form = (X - Y * S) * (X - Y * CONTACT_PLACE[0]) * q * q * u
+    assert not _odd_at_place(form, "y")
+    assert _contact(form) == (False, None, None)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_pole_at_the_place_falls_back(power):
+    # beta has a pole at s = 4/3, so the certificate cannot specialize
+    beta = (S - CONTACT_PLACE[0]).inv() + ALPHA
+    form = (X - Y * beta) ** power * (X + Y) ** 2
+    assert not _regular_at_place(form)
+    assert not _odd_at_place(form, "y")
+    result = _contact(form)
+    if power == 2:
+        _assert_certificate(form, result)
+    else:
+        assert result == (False, None, None)

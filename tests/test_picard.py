@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from k3pencil import lattice, picard
 from k3pencil.lattice import (
     GramLattice,
     ade_chain,
     fingerprints_match,
     lattice_invariants,
+    rank_int,
     rank_signature,
     standard_lattice,
 )
@@ -91,10 +94,7 @@ def test_pair_swap_keeps_invariants(generic_config, generic_result):
     bits0 = res.assignments[0]
     for flip in range(len(bits0)):
         bits = tuple(b ^ 1 if i == flip else b for i, b in enumerate(bits0))
-        m = [row[:] for row in cfg.base]
-        for bit, (sp, sm) in zip(bits, cfg.ambiguous_pairs):
-            (ri, ci) = sp if bit == 0 else sm
-            m[ri][ci] = m[ci][ri] = 1
+        m = cfg.complete(bits)
         rank, _, _, _ = rank_signature(GramLattice.from_rows(m, cfg.labels))
         if rank <= 20:
             inv = lattice_invariants(GramLattice.from_rows(m, cfg.labels))
@@ -164,6 +164,50 @@ def test_reflection_fails_for_unrelated_pair():
 def test_sm1_relations_count():
     res = analyze_fiber(-1)
     assert len(res.labels) - res.picard.rank == 4
+
+
+# the surviving sheet assignments of each fibre, as the Fraction rank filter
+# found them
+PINNED_ASSIGNMENTS = {
+    "generic": [(0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 1, 1), (1, 1, 1, 1, 1, 1, 0)],
+    1: [(0, 0, 1, 1, 1), (0, 1, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 1)],
+    -1: [(0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 1, 1), (1, 1, 1, 1, 1, 1, 0)],
+}
+
+
+@pytest.fixture(scope="module")
+def fiber_configs():
+    return {fiber: build_divisor_config(fiber) for fiber in PINNED_ASSIGNMENTS}
+
+
+def test_integer_rank_matches_rank_signature(fiber_configs):
+    completions = [
+        (cfg, cfg.complete(bits))
+        for cfg in fiber_configs.values()
+        for bits in product((0, 1), repeat=len(cfg.ambiguous_pairs))
+    ]
+    assert len(completions) == 288
+    for cfg, m in completions:
+        assert rank_int(m) == rank_signature(GramLattice.from_rows(m, cfg.labels))[0]
+
+
+def test_enumeration_pinned_without_per_assignment_signatures(fiber_configs, monkeypatch):
+    calls = []
+    exact = lattice.rank_signature
+
+    def counted(L):
+        calls.append(L.dim)
+        return exact(L)
+
+    monkeypatch.setattr(lattice, "rank_signature", counted)
+    monkeypatch.setattr(picard, "rank_signature", counted, raising=False)
+    for fiber, cfg in fiber_configs.items():
+        res = enumerate_and_filter(cfg)
+        assert res.survivor_count == 4
+        assert res.assignments == PINNED_ASSIGNMENTS[fiber]
+    # a signature per survivor and per model lattice (Picard, transcendental),
+    # none per assignment
+    assert len(calls) == 3 * (4 + 2)
 
 
 def test_rank_bound_flag():
