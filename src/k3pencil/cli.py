@@ -266,7 +266,8 @@ def _reflection(pair):
 def _apery_sequence(run):
     values = [apery(i) for i in range(6)]
     rec = operator_to_recurrence(apery_operator())
-    rec_ok = all(rec.residual([apery(i) for i in range(101)], m) == 0 for m in range(2, 101))
+    seq = [apery(i) for i in range(101)]
+    rec_ok = all(rec.residual(seq, m) == 0 for m in range(2, 101))
     return values[:4] == [1, 5, 73, 1445] and rec_ok, {"values": values, "recurrence": rec.describe()}
 
 

@@ -147,35 +147,32 @@ def restrict_to_line(poly: MPoly, line: MPoly) -> tuple[MPoly, str]:
     return poly.set_var_poly(v, image), v
 
 
-#: The place s = 4/3, alpha = 2/3 of QQ(s)(alpha), alpha^2 = s^2 - s, at which
-#: ``even_contact_test`` first looks for odd contact.  It is a smooth rational
-#: point of the conic, since alpha^2 = 4/9 != 0 there.
+#: The place s = 4/3, alpha = 2/3 at which ``even_contact_test`` first looks
+#: for odd contact: over QQ(m) it is the rational place m = alpha/s = 1/2,
+#: over QQ(s) the place s = 4/3.
 CONTACT_PLACE = (Fraction(4, 3), Fraction(2, 3))
 
 
 def _odd_at_place(restriction: MPoly, v: str) -> bool:
-    """True only if the binary form R = restriction, over a field containing
-    s, is not unit * q^2: it meets the sextic with odd contact somewhere.
+    """True only if the binary form R = restriction, over QQ(s) or QQ(m), is
+    not unit * q^2: it meets the sextic with odd contact somewhere.
 
-    R is specialized at CONTACT_PLACE (alpha at 2/3 when the field has it).
-    When no coefficient has a pole there and the specialization R0 is
-    nonzero, True means R0 has a root of odd multiplicity on P^1 over QQ: its
-    v-exponent is odd, or Yun's algorithm over QQ finds an odd exponent in
-    R0(u, 1).  Sound: the place is a smooth rational point of the curve of
-    the field, so its local ring O is a discrete valuation ring with residue
-    field QQ, and an a + b*alpha with a, b regular at s = 4/3 lies in O with
-    residue a(4/3) + b(4/3) * 2/3.  Suppose R = u * q^2.  Over O, Gauss's
-    lemma (the content of a product is the sum of the contents) lets q be
-    taken primitive; then the content of R is the valuation of u.  R is
-    integral with a nonzero reduction, so u is a unit, R0 = u0 * q0^2 with u0
-    and q0 nonzero, and every multiplicity of R0 is even.  False means "not
-    certified": the caller runs the exact path."""
-    field = restriction.field
-    if not field.with_s:
+    R is specialized at CONTACT_PLACE, i.e. its parameter t (s or m) at a
+    rational t0.  When no coefficient has a pole there and the specialization
+    R0 is nonzero, True means R0 has a root of odd multiplicity on P^1 over
+    QQ: its v-exponent is odd, or Yun's algorithm over QQ finds an odd
+    exponent in R0(u, 1).  Sound by Gauss's lemma, as for the coprimality
+    certificate of ``gcd_poly``: the local ring O of QQ[t] at t = t0 is a
+    discrete valuation ring with residue field QQ.  Suppose R = u * q^2.
+    Over O, Gauss's lemma (the content of a product is the sum of the
+    contents) lets q be taken primitive; then the content of R is the
+    valuation of u.  R is integral with a nonzero reduction, so u is a unit,
+    R0 = u0 * q0^2 with u0 and q0 nonzero, and every multiplicity of R0 is
+    even.  False means "not certified": the caller runs the exact path."""
+    if not restriction.field.with_s:
         return False
-    s0, alpha0 = CONTACT_PLACE
     try:
-        r0 = specialize(restriction, s0, alpha0 if field.alpha_square is not None else None)
+        r0 = specialize(restriction, *CONTACT_PLACE)
     except ValueError:
         return False
     if r0.is_zero():
@@ -190,8 +187,8 @@ def even_contact_test(line: MPoly, config: BranchConfig):
     """Whether the line meets the branch sextic with even multiplicity
     everywhere (including at infinity on the line).  Returns
     (flag, certificate, unit): on even contact, restriction = unit * q^2.
-    Over QQ(s) and QQ(s)(alpha), odd contact is first looked for at a
-    rational place (``_odd_at_place``); the exact squarefree decomposition
+    Over QQ(s) and QQ(m), odd contact is first looked for at a rational
+    place (``_odd_at_place``); the exact squarefree decomposition
     runs when that finds none."""
     restriction, gone = restrict_to_line(config.sextic, line)
     if restriction.is_zero():
@@ -260,7 +257,7 @@ def _field_sqrt(c: FieldElement) -> Optional[FieldElement]:
         r = _fraction_sqrt(c.a.const_value())
         if r is not None:
             return c.field.from_rat(r)
-        if c.field.alpha_square is not None and c.field.alpha_square.is_const():
+        if c.field.alpha_square is not None:
             m = c.field.alpha_square.const_value()
             ratio = c.a.const_value() / m
             r = _fraction_sqrt(ratio)

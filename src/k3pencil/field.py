@@ -1,10 +1,15 @@
-"""Exact coefficient arithmetic: rationals, rational functions in s, and the
-quadratic extension by alpha.
+"""Exact coefficient arithmetic: rationals, rational functions in one
+parameter, and quadratic fields.
 
-The coefficient tower is fixed-depth: QQ, QQ(s), QQ(sqrt(d)) for rational d,
-and QQ(s)(alpha) with alpha^2 a prescribed element of QQ(s).  Elements are
-stored as ``a + b*alpha`` where a, b are reduced fractions of polynomials in
-s with monic denominators, so equality is syntactic.
+The coefficient tower is fixed-depth: QQ, QQ(s), QQ(sqrt(d)) for a rational
+non-square d, and QQ(m).  QQ(m) is the field QQ(s)(alpha) of the generic
+fibre, alpha^2 = s^2 - s: that conic has the rational point (0, 0), and the
+line alpha = m*s through it parametrizes it by s = 1/(1 - m^2),
+alpha = m/(1 - m^2), m = alpha/s (Hartshorne, Algebraic Geometry, I.6).
+Elements are stored as ``a + b*alpha`` where a, b are reduced fractions of
+polynomials in the parameter with monic denominators, so equality is
+syntactic; b = 0 except over QQ(sqrt(d)).  Elements of QQ(m) print and sort
+as the pair (a, b) over QQ(s) they stand for.
 """
 
 from __future__ import annotations
@@ -310,121 +315,126 @@ RF_ZERO = RatFunc(QP_ZERO, QP_ONE, reduce=False)
 RF_ONE = RatFunc(QP_ONE, QP_ONE, reduce=False)
 
 
-def _is_square_ratfunc(m: RatFunc) -> bool:
-    """Whether m is a square in QQ(s).  The stored form is reduced, so m is a
-    square iff numerator and denominator both admit exact polynomial square
-    roots over QQ."""
-    if m.is_zero():
-        return True
-    if m.is_const():
-        return _fraction_sqrt(m.const_value()) is not None
-    return _qpoly_sqrt(m.num) is not None and _qpoly_sqrt(m.den) is not None
+def _homogenize(p: QPoly, num: QPoly, den: QPoly) -> QPoly:
+    """den^deg(p) * p(num/den) for p != 0."""
+    cs = p.coeffs
+    out, den_k = QPoly([cs[-1]]), QP_ONE
+    for c in reversed(cs[:-1]):
+        den_k = den_k * den
+        out = out * num + den_k.scale(c)
+    return out
 
 
-def _qpoly_sqrt(p: QPoly) -> Optional[QPoly]:
-    """Exact square root of a QPoly, or None."""
+def _substitute(p: QPoly, q: QPoly, num: QPoly, den: QPoly) -> RatFunc:
+    """p(t)/q(t) at t = num/den, reduced."""
     if p.is_zero():
-        return QP_ZERO
-    d = p.degree()
-    if d % 2:
-        return None
-    lc = _fraction_sqrt(p.leading())
-    if lc is None:
-        return None
-    # Newton-style synthesis: solve q^2 = p by matching coefficients downward.
-    q = [Fraction(0)] * (d // 2 + 1)
-    q[-1] = lc
-    for k in range(d // 2 - 1, -1, -1):
-        # coefficient of s^(k + d//2) in q^2 is 2*q[k]*q[d//2] + (known terms)
-        acc = _F0
-        for i in range(k + 1, d // 2):
-            j = k + d // 2 - i
-            if 0 <= j <= d // 2:
-                acc += q[i] * q[j]
-        target = p.coeffs[k + d // 2] if k + d // 2 < len(p.coeffs) else _F0
-        q[k] = (target - acc) / (2 * lc)
-    cand = QPoly(q)
-    return cand if cand * cand == p else None
+        return RF_ZERO
+    k = q.degree() - p.degree()
+    hp, hq = _homogenize(p, num, den), _homogenize(q, num, den)
+    if k >= 0:
+        return RatFunc(hp * den ** k, hq)
+    return RatFunc(hp, hq * den ** -k)
+
+
+def _reflect(p: QPoly) -> QPoly:
+    """p(-m)."""
+    return QPoly([-c if i % 2 else c for i, c in enumerate(p.coeffs)])
+
+
+_S_VAR = QPoly.var()
+_ONE_MINUS_M2 = QPoly([1, 0, -1])
+
+
+def _s_to_m(r: RatFunc) -> RatFunc:
+    """r(s) as an element of QQ(m): s = 1/(1 - m^2)."""
+    return _substitute(r.num, r.den, QP_ONE, _ONE_MINUS_M2)
+
+
+def _m_to_s(r: RatFunc) -> tuple[RatFunc, RatFunc]:
+    """The pair (a, b) of QQ(s) with r(m) = a + b*alpha: with an even
+    denominator N(m)D(-m) / (D(m)D(-m)) and the numerator split as
+    E(m^2) + m*O(m^2), a = E(m^2)/D2(m^2) and b = O(m^2)/(s*D2(m^2)), since
+    m^2 = (s - 1)/s and m = alpha/s."""
+    d_neg = _reflect(r.den)
+    num, den = (r.num * d_neg).coeffs, (r.den * d_neg).coeffs
+    t_num, den2 = QPoly([-1, 1]), QPoly(den[0::2])
+    a = _substitute(QPoly(num[0::2]), den2, t_num, _S_VAR)
+    b = _substitute(QPoly(num[1::2]), den2, t_num, _S_VAR)
+    return a, b * RatFunc(QP_ONE, _S_VAR)
 
 
 class Field:
     """Descriptor for a level of the coefficient tower.
 
-    ``with_s`` tells whether the pencil parameter s is present;
-    ``alpha_square`` (a RatFunc, or None) activates the quadratic extension.
+    ``param`` names the transcendental generator: None for QQ and
+    QQ(sqrt(d)), "s" for QQ(s), "m" for QQ(m) = QQ(s)(alpha).
+    ``alpha_square`` (a rational d, or None, stored as a constant RatFunc)
+    makes the field QQ(sqrt(d)).
     """
 
-    __slots__ = ("with_s", "alpha_square", "_zero", "_one")
+    __slots__ = ("param", "alpha_square", "zero", "one")
 
-    def __init__(self, with_s: bool, alpha_square: Optional[RatFunc] = None):
+    def __init__(self, param: Optional[str] = None, alpha_square=None):
         if alpha_square is not None:
-            if alpha_square.is_zero():
-                raise ValueError("alpha^2 must be nonzero")
-            if not with_s and not alpha_square.is_const():
-                raise ValueError("alpha^2 must be constant when s is absent")
-            if _is_square_ratfunc(alpha_square):
-                raise ValueError("alpha^2 is a square in the base field")
-        self.with_s = with_s
+            if param is not None:
+                raise ValueError("alpha^2 is rational: only QQ(sqrt(d)) has one")
+            d = Fraction(alpha_square)
+            if d == 0 or _fraction_sqrt(d) is not None:
+                raise ValueError("alpha^2 is a square in QQ")
+            alpha_square = RatFunc.const(d)
+        self.param = param
         self.alpha_square = alpha_square
-        self._zero = FieldElement(self, RF_ZERO, RF_ZERO)
-        self._one = FieldElement(self, RF_ONE, RF_ZERO)
+        self.zero = FieldElement(self, RF_ZERO, RF_ZERO)
+        self.one = FieldElement(self, RF_ONE, RF_ZERO)
 
     # -- the tower ------------------------------------------------------
 
-    @staticmethod
-    def rationals() -> "Field":
-        return QQ
-
-    def extend(self, alpha_square: RatFunc) -> "Field":
-        if self.alpha_square is not None:
-            raise ValueError("tower is fixed-depth: already extended")
-        return Field(self.with_s, alpha_square)
+    @property
+    def with_s(self) -> bool:
+        """Whether s is in the field: QQ(s) and QQ(m)."""
+        return self.param is not None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Field)
-            and self.with_s == other.with_s
+            and self.param == other.param
             and self.alpha_square == other.alpha_square
         )
 
     def __hash__(self) -> int:
-        return hash((self.with_s, self.alpha_square))
+        return hash((self.param, self.alpha_square))
 
     def contains(self, other: "Field") -> bool:
-        """Whether other embeds into self with the identity on generators."""
-        if other.with_s and not self.with_s:
-            return False
-        if other.alpha_square is None:
+        """Whether other embeds into self: QQ into every field, QQ(s) into
+        QQ(m) by s = 1/(1 - m^2)."""
+        if other == self or (other.param is None and other.alpha_square is None):
             return True
-        return self.alpha_square == other.alpha_square
+        return self.param == "m" and other.param == "s"
 
     def level_name(self) -> str:
-        if self.alpha_square is None:
-            return "Q(s)" if self.with_s else "Q"
-        return "Q(s)(alpha)" if self.with_s else "Q(alpha)"
+        if self.param is not None:
+            return f"Q({self.param})"
+        return "Q" if self.alpha_square is None else "Q(alpha)"
 
     # -- element constructors -------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
 
     def from_rat(self, c) -> "FieldElement":
         return FieldElement(self, RatFunc.const(Fraction(c)), RF_ZERO)
 
     def from_ratfunc(self, r: RatFunc) -> "FieldElement":
+        """The element r(t) for t the field's parameter (s or m)."""
         return FieldElement(self, r, RF_ZERO)
 
     def s(self) -> "FieldElement":
-        if not self.with_s:
-            raise ValueError("field has no parameter s")
-        return FieldElement(self, RatFunc.var(), RF_ZERO)
+        if self.param == "s":
+            return FieldElement(self, RatFunc.var(), RF_ZERO)
+        if self.param == "m":
+            return FieldElement(self, RatFunc(QP_ONE, _ONE_MINUS_M2), RF_ZERO)
+        raise ValueError("field has no parameter s")
 
     def alpha(self) -> "FieldElement":
+        if self.param == "m":
+            return FieldElement(self, RatFunc(QPoly.var(), _ONE_MINUS_M2), RF_ZERO)
         if self.alpha_square is None:
             raise ValueError("field has no alpha")
         return FieldElement(self, RF_ZERO, RF_ONE)
@@ -433,11 +443,13 @@ class Field:
         if isinstance(x, FieldElement):
             if x.field == self:
                 return x
-            if self.contains(x.field):
-                return FieldElement(self, x.a, x.b)
-            raise ValueError(
-                f"cannot coerce element of {x.field.level_name()} into {self.level_name()}"
-            )
+            if not self.contains(x.field):
+                raise ValueError(
+                    f"cannot coerce element of {x.field.level_name()} into {self.level_name()}"
+                )
+            if x.field.param == "s":
+                return FieldElement(self, _s_to_m(x.a), RF_ZERO)
+            return FieldElement(self, x.a, x.b)
         if isinstance(x, (int, Fraction)):
             return self.from_rat(x)
         if isinstance(x, RatFunc):
@@ -446,13 +458,14 @@ class Field:
 
 
 class FieldElement:
-    """Element a + b*alpha of a tower field (b = 0 below the top level)."""
+    """Element a + b*alpha of a tower field; b = 0 except over QQ(sqrt(d)).
+    Over QQ(m), a is a function of m and alpha = m/(1 - m^2)."""
 
     __slots__ = ("field", "a", "b")
 
     def __init__(self, field: Field, a: RatFunc, b: RatFunc):
         if not b.is_zero() and field.alpha_square is None:
-            raise ValueError("alpha-component in a field without alpha")
+            raise ValueError("alpha-component in a field without a rational alpha^2")
         self.field = field
         self.a = a
         self.b = b
@@ -521,10 +534,7 @@ class FieldElement:
         if self.b.is_zero():
             return FieldElement(self.field, self.a.inv(), RF_ZERO)
         m = self.field.alpha_square
-        norm = self.a * self.a - (self.b * self.b) * m
-        if norm.is_zero():
-            raise ZeroDivisionError("degenerate extension: zero norm")
-        ninv = norm.inv()
+        ninv = (self.a * self.a - (self.b * self.b) * m).inv()
         return FieldElement(self.field, self.a * ninv, -(self.b * ninv))
 
     def __truediv__(self, other) -> "FieldElement":
@@ -547,46 +557,41 @@ class FieldElement:
         return out
 
     def conjugate(self) -> "FieldElement":
+        """alpha -> -alpha, which is m -> -m over QQ(m)."""
+        if self.field.param == "m":
+            return FieldElement(self.field, RatFunc(_reflect(self.a.num), _reflect(self.a.den)), RF_ZERO)
         return FieldElement(self.field, self.a, -self.b)
 
+    def _in_s(self) -> tuple[RatFunc, RatFunc]:
+        """(a, b) with self = a + b*alpha and a, b in QQ(s) or QQ."""
+        return _m_to_s(self.a) if self.field.param == "m" else (self.a, self.b)
+
     def __str__(self) -> str:
-        if self.b.is_zero():
-            return str(self.a)
-        if self.a.is_zero():
-            if self.b == RF_ONE:
+        a, b = self._in_s()
+        if b.is_zero():
+            return str(a)
+        if a.is_zero():
+            if b == RF_ONE:
                 return "alpha"
-            return f"({self.b})*alpha"
-        return f"{self.a} + ({self.b})*alpha"
+            return f"({b})*alpha"
+        return f"{a} + ({b})*alpha"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
 
     def sort_key(self) -> tuple:
         """Deterministic total order key (used for canonical choices only)."""
-        return (
-            tuple(c for c in self.a.num.coeffs),
-            tuple(c for c in self.a.den.coeffs),
-            tuple(c for c in self.b.num.coeffs),
-            tuple(c for c in self.b.den.coeffs),
-        )
+        a, b = self._in_s()
+        return (a.num.coeffs, a.den.coeffs, b.num.coeffs, b.den.coeffs)
 
 
-QQ = Field(False)
-QS = Field(True)
+QQ = Field()
+QS = Field("s")
 
-
-def qs_poly(*coeffs) -> RatFunc:
-    """RatFunc from low-to-high s-coefficients, e.g. qs_poly(0, -1, 1) = s^2 - s."""
-    return RatFunc(QPoly(list(coeffs)), QP_ONE, reduce=False)
-
-
-#: alpha^2 for the generic fibre: s^2 - s.
-ALPHA_SQ_GENERIC = qs_poly(0, -1, 1)
-
-#: Field QQ(s)(alpha) with alpha^2 = s^2 - s.
-QSA = QS.extend(ALPHA_SQ_GENERIC)
+#: QQ(s)(alpha), alpha^2 = s^2 - s, as QQ(m) (see the module docstring).
+QSA = Field("m")
 
 
 def quadratic_field(d) -> Field:
     """QQ(sqrt(d)) for a rational non-square d."""
-    return Field(False, RatFunc.const(Fraction(d)))
+    return Field(alpha_square=d)

@@ -500,7 +500,7 @@ class _Promote(Exception):
 
 def parse_poly(text: str, field: Field, vars: Sequence[str]) -> MPoly:
     """Parse the plain-text grammar: names, integer literals, + - * ^ and
-    parentheses; `alpha` (and `s` over QQ(s)) denote field generators."""
+    parentheses; `alpha` (and `s` over QQ(s) and QQ(m)) denote field generators."""
     tokens = _tokenize(text)
     pos = 0
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .field import QQ, QS, Field, FieldElement, RatFunc, _fraction_sqrt, quadratic_field
+from .field import QQ, Field, FieldElement, _fraction_sqrt, quadratic_field
 from .mpoly import MPoly
 
 # ---------------------------------------------------------------------------
@@ -81,32 +81,34 @@ def gcd_poly(p: MPoly, q: MPoly) -> MPoly:
         p, q = p.with_vars(allv), q.with_vars(allv)
     a = p.dense_univariate(var) if not p.is_zero() else []
     b = q.dense_univariate(var) if not q.is_zero() else []
-    if p.field == QS and len(a) > 1 and len(b) > 1 and _coprime_by_specialization(a, b):
+    if p.field.with_s and len(a) > 1 and len(b) > 1 and _coprime_by_specialization(a, b):
         return MPoly.const(p.field, p.vars, 1)
     g = _dense_gcd(a, b, p.field)
     return MPoly.from_dense(p.field, p.vars, var, g)
 
 
-#: Values of s tried, in order, by the coprimality certificate.
+#: Values of the parameter (s over QQ(s), m over QQ(m)) tried, in order, by
+#: the coprimality certificate.
 COPRIME_TEST_POINTS = tuple(Fraction(k) for k in (7, -5, 11, -13, 17, -19, 23, -29))
 
 
 def _coprime_by_specialization(a: list, b: list) -> bool:
-    """True only if a, b in QQ(s)[x] (dense, nonconstant) are coprime.
+    """True only if a, b in QQ(t)[x] (dense, nonconstant) are coprime, for t
+    the field's parameter: s over QQ(s), m over QQ(m).
 
-    s is specialized at the first point of COPRIME_TEST_POINTS where no
+    t is specialized at the first point of COPRIME_TEST_POINTS where no
     coefficient has a pole and the leading coefficient of a or of b does not
     vanish; True when the gcd over QQ of the specializations is constant.
-    Sound by Gauss's lemma: clear denominators to A, B in QQ[s][x] and let G
-    be their primitive gcd in QQ[s][x].  G divides A and B there, so lc(G)
-    divides lc(A) and lc(B); one of those survives at s0, so deg G(s0) =
-    deg G.  G(s0) divides A(s0) and B(s0), nonzero multiples of a(s0), b(s0)
-    since no denominator vanishes, hence deg gcd(a(s0), b(s0)) >= deg G.
+    Sound by Gauss's lemma: clear denominators to A, B in QQ[t][x] and let G
+    be their primitive gcd in QQ[t][x].  G divides A and B there, so lc(G)
+    divides lc(A) and lc(B); one of those survives at t0, so deg G(t0) =
+    deg G.  G(t0) divides A(t0) and B(t0), nonzero multiples of a(t0), b(t0)
+    since no denominator vanishes, hence deg gcd(a(t0), b(t0)) >= deg G.
     False means "not certified": the caller runs the Euclidean algorithm."""
-    for s0 in COPRIME_TEST_POINTS:
+    for t0 in COPRIME_TEST_POINTS:
         try:
-            a0 = [QQ.from_rat(c.a.eval(s0)) for c in a]
-            b0 = [QQ.from_rat(c.a.eval(s0)) for c in b]
+            a0 = [QQ.from_rat(c.a.eval(t0)) for c in a]
+            b0 = [QQ.from_rat(c.a.eval(t0)) for c in b]
         except ZeroDivisionError:
             continue
         if a0[-1].is_zero() and b0[-1].is_zero():
@@ -502,71 +504,54 @@ def rational_equal(
 
 
 def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = None):
-    """Target field and coefficient map for evaluating s at s0.
+    """Target field and coefficient map for evaluating s at s0; a field
+    without a parameter is left as it is.
 
-    With an alpha present, alpha is kept symbolic when alpha^2 specializes to
-    a non-square (target QQ(sqrt(d))); a rational alpha0 with alpha0^2 equal
-    to the specialized alpha^2 maps alpha to that number instead.
+    Over QQ(m) this evaluates m = alpha/s: at alpha0/s0 into QQ when a
+    rational alpha0 with alpha0^2 = s0^2 - s0 is given, else at alpha/s0 in
+    QQ(sqrt(s0^2 - s0)), which needs s0^2 - s0 to be a non-square.  s0 = 0 is
+    the place m = infinity and raises.
     """
     s0 = Fraction(s0)
-    if field.alpha_square is None:
-        target = QQ
-
-        def fmap(x: FieldElement) -> FieldElement:
-            return QQ.from_rat(x.a.eval(s0))
-
-        return target, fmap
-
-    try:
-        m0 = field.alpha_square.eval(s0)
-    except ZeroDivisionError:
-        raise ValueError("pole of alpha^2 at specialization")
+    if field.param is None:
+        return field, lambda x: x
+    if field.param == "s":
+        return QQ, lambda x: QQ.from_rat(x.a.eval(s0))
+    if s0 == 0:
+        raise ValueError("s = 0 is the place m = infinity")
+    d = s0 * s0 - s0
     if alpha0 is not None:
         alpha0 = Fraction(alpha0)
-        if alpha0 * alpha0 != m0:
+        if alpha0 * alpha0 != d:
             raise ValueError("inconsistent alpha value at specialization")
-        target = QQ
+        return QQ, lambda x: QQ.from_rat(x.a.eval(alpha0 / s0))
+    if _fraction_sqrt(d) is not None:
+        raise ValueError("alpha^2 specializes to a square; provide an explicit alpha value")
+    target = quadratic_field(d)
+    m0 = target.alpha() * (1 / s0)
 
-        def fmap(x: FieldElement) -> FieldElement:
-            return QQ.from_rat(x.a.eval(s0) + x.b.eval(s0) * alpha0)
+    def at_m0(p) -> FieldElement:
+        acc = target.zero
+        for c in reversed(p.coeffs):
+            acc = acc * m0 + c
+        return acc
 
-        return target, fmap
-    if m0 == 0 or _fraction_sqrt(m0) is not None:
-        raise ValueError(
-            "alpha^2 specializes to a square; provide an explicit alpha value"
-        )
-    target = quadratic_field(m0)
-
-    def fmap(x: FieldElement) -> FieldElement:
-        return FieldElement(
-            target, RatFunc.const(x.a.eval(s0)), RatFunc.const(x.b.eval(s0))
-        )
-
-    return target, fmap
+    return target, lambda x: at_m0(x.a.num) / at_m0(x.a.den)
 
 
 def specialize(obj, s0, alpha0: Optional[Fraction] = None):
     """Exact evaluation of the pencil parameter: FieldElement -> FieldElement,
     MPoly -> MPoly over the specialized field.  Raises on poles and on
     inconsistent alpha values."""
-    if isinstance(obj, FieldElement):
-        target, fmap = specialize_field(obj.field, Fraction(s0), alpha0)
-        try:
+    if not isinstance(obj, (FieldElement, MPoly)):
+        raise TypeError("specialize expects a FieldElement or MPoly")
+    target, fmap = specialize_field(obj.field, Fraction(s0), alpha0)
+    try:
+        if isinstance(obj, FieldElement):
             return fmap(obj)
-        except ZeroDivisionError:
-            raise ValueError("pole at specialization")
-    if isinstance(obj, MPoly):
-        target, fmap = specialize_field(obj.field, Fraction(s0), alpha0)
-        out = {}
-        for e, c in obj.terms.items():
-            try:
-                fc = fmap(c)
-            except ZeroDivisionError:
-                raise ValueError("pole at specialization")
-            if not fc.is_zero():
-                out[e] = fc
-        return MPoly(target, obj.vars, out)
-    raise TypeError("specialize expects a FieldElement or MPoly")
+        return MPoly(target, obj.vars, {e: fmap(c) for e, c in obj.terms.items()})
+    except ZeroDivisionError:
+        raise ValueError("pole at specialization")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,40 @@ def test_report_determinism(capsys):
     assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
 
 
+# The line and w strings of the generic fibre and of s = -1, as printed when
+# QQ(s)(alpha) elements were stored as a + b*alpha over QQ(s): elements of
+# QQ(m) must print as the same pair.
+_L4_W = "(alpha)*x^3 + ((-1)*alpha)*x^2*y + ((-1)*alpha)*x*y^2 + (alpha)*y^3"
+PINNED_LINES = {
+    "generic": [
+        ("L1", "z", "2*x^2*y + 2*x*y^2"),
+        ("L2", "-2*x + z", "2*x^3 - 2*x^2*y"),
+        ("L3", "-2*y + z", "-2*x*y^2 + 2*y^3"),
+        ("L4", "-x - y + z", _L4_W),
+        ("L5", "-x + (s + (1)*alpha)*z", "(1/(s))*x^2*y + (-1 + (-1/(s))*alpha)*x*y^2"),
+        ("L6", "-x + (s + (-1)*alpha)*z", "(1/(s))*x^2*y + (-1 + (1/(s))*alpha)*x*y^2"),
+        ("L7", "-y + (s + (1)*alpha)*z", "(-1 + (-1/(s))*alpha)*x^2*y + (1/(s))*x*y^2"),
+        ("L8", "-y + (s + (-1)*alpha)*z", "(-1 + (1/(s))*alpha)*x^2*y + (1/(s))*x*y^2"),
+    ],
+    "-1": [
+        ("L1", "z", "2*x^2*y + 2*x*y^2"),
+        ("L2", "-2*x + z", "2*x^3 - 2*x^2*y"),
+        ("L3", "-2*y + z", "-2*x*y^2 + 2*y^3"),
+        ("L4", "-x - y + z", _L4_W),
+        ("L5", "-x + (-1 + (1)*alpha)*z", "-x^2*y + (-1 + (1)*alpha)*x*y^2"),
+        ("L6", "-x + (-1 + (-1)*alpha)*z", "-x^2*y + (-1 + (-1)*alpha)*x*y^2"),
+        ("L7", "-y + (-1 + (1)*alpha)*z", "(-1 + (1)*alpha)*x^2*y - x*y^2"),
+        ("L8", "-y + (-1 + (-1)*alpha)*z", "(-1 + (-1)*alpha)*x^2*y - x*y^2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("s_value", sorted(PINNED_LINES))
+def test_line_strings_pinned(s_value):
+    rows = cli.lines_data(s_value)["lines"]
+    assert [(r["label"], r["line"], r["w"]) for r in rows] == PINNED_LINES[s_value]
+
+
 def test_every_check_has_a_claim_and_doc_is_in_sync():
     doc = open(os.path.join(HERE, "docs", "claims.md")).read()
     assert doc == render_markdown()

@@ -64,8 +64,8 @@ def test_control_line_decided_at_the_place(cfg, monkeypatch):
     exact = cover.squarefree_decomposition
 
     def over_qq_only(p):
-        if p.field.alpha_square is not None:
-            raise AssertionError("squarefree decomposition over a field with alpha")
+        if p.field == QSA:
+            raise AssertionError("squarefree decomposition over QQ(s)(alpha)")
         return exact(p)
 
     monkeypatch.setattr(cover, "squarefree_decomposition", over_qq_only)

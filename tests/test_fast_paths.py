@@ -2,14 +2,16 @@
 against the exact path it replaces or the known answer.
 
 * integer Bareiss (resultants over QQ) vs the generic MPoly Bareiss;
-* the QQ(s) coprimality certificate in gcd_poly vs the Euclidean gcd;
+* the QQ(s) and QQ(m) coprimality certificate in gcd_poly vs the Euclidean
+  gcd;
 * the series Newton loop of milnor_ade_classify on A_k normal forms moved
   by a random invertible linear change and translation;
 * the integer Bareiss rank and determinant of the lattice engine vs the
   Fraction diagonalization rank_signature and the earlier Bareiss det_int,
   on symmetric integer matrices, rank-deficient ones included;
 * the odd-contact certificate at CONTACT_PLACE vs the exact squarefree
-  path of even_contact_test on binary forms over QQ(s)(alpha).
+  path of even_contact_test on binary forms over QQ(s)(alpha) = QQ(m), and
+  the exact path alone on two odd forms of degree 5 and 4.
 """
 
 from fractions import Fraction
@@ -96,20 +98,21 @@ def test_integer_bareiss_matches_generic_bareiss(matrix):
     assert MPoly.from_dense(QQ, vars, "y", _bareiss_det_int(matrix)) == expected
 
 
-# -- the QQ(s) coprimality certificate ----------------------------------------
+# -- the QQ(s) and QQ(m) coprimality certificate -------------------------------
 
 
-def _s_poly(cs) -> RatFunc:
+def _t_poly(cs) -> RatFunc:
+    """A polynomial in the field's parameter: s over QQ(s), m over QQ(m)."""
     return RatFunc(QPoly(cs))
 
 
-S_MINUS = [_s_poly([-c, 1]) for c in COPRIME_TEST_POINTS]
-coeff_qs = st.lists(small_int, min_size=1, max_size=3).map(lambda cs: QS.from_ratfunc(_s_poly(cs)))
-dense_qs = st.lists(coeff_qs, min_size=2, max_size=4).filter(lambda cs: not cs[-1].is_zero())
+T_MINUS = [_t_poly([-c, 1]) for c in COPRIME_TEST_POINTS]
+coeff_t = st.lists(small_int, min_size=1, max_size=3).map(_t_poly)
+dense_t = st.lists(coeff_t, min_size=2, max_size=4).filter(lambda cs: not cs[-1].is_zero())
 
 
 def _mul_dense(a: list, b: list) -> list:
-    out = [QS.zero] * (len(a) + len(b) - 1)
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -118,34 +121,36 @@ def _mul_dense(a: list, b: list) -> list:
 
 @SETTINGS
 @given(
-    dense_qs,
-    dense_qs,
-    st.one_of(st.none(), st.lists(coeff_qs, min_size=2, max_size=2).filter(lambda cs: not cs[-1].is_zero())),
+    st.sampled_from([QS, QSA]),
+    dense_t,
+    dense_t,
+    st.one_of(st.none(), st.lists(coeff_t, min_size=2, max_size=2).filter(lambda cs: not cs[-1].is_zero())),
     st.integers(0, 3),
     st.integers(0, 3),
 )
-def test_qs_gcd_certificate_matches_euclid(a, b, common, lc_zeros, pole_zeros):
+def test_qs_gcd_certificate_matches_euclid(field, a, b, common, lc_zeros, pole_zeros):
     # the leading coefficients of a, b and the common factor vanish at the
     # first lc_zeros test points, and a has a pole at the first pole_zeros of
     # them: the certificate must skip those points
-    vanish = QS.one
-    for f in S_MINUS[:lc_zeros]:
-        vanish = vanish * QS.from_ratfunc(f)
+    a, b = [field.from_ratfunc(c) for c in a], [field.from_ratfunc(c) for c in b]
+    vanish = field.one
+    for f in T_MINUS[:lc_zeros]:
+        vanish = vanish * field.from_ratfunc(f)
     a = a[:-1] + [a[-1] * vanish]
     b = b[:-1] + [b[-1] * vanish]
-    for f in S_MINUS[:pole_zeros]:
-        a[0] = a[0] + QS.from_ratfunc(f).inv()
+    for f in T_MINUS[:pole_zeros]:
+        a[0] = a[0] + field.from_ratfunc(f).inv()
     if common is not None:
-        common = [common[0], common[1] * vanish]
+        common = [field.from_ratfunc(common[0]), field.from_ratfunc(common[1]) * vanish]
         a, b = _mul_dense(a, common), _mul_dense(b, common)
-    euclid = _dense_gcd(a, b, QS)
+    euclid = _dense_gcd(a, b, field)
     if _coprime_by_specialization(a, b):
         assert len(euclid) == 1
     if common is not None:
         assert not _coprime_by_specialization(a, b)
     vars = ("x",)
-    pa, pb = MPoly.from_dense(QS, vars, "x", a), MPoly.from_dense(QS, vars, "x", b)
-    assert gcd_poly(pa, pb) == MPoly.from_dense(QS, vars, "x", euclid)
+    pa, pb = MPoly.from_dense(field, vars, "x", a), MPoly.from_dense(field, vars, "x", b)
+    assert gcd_poly(pa, pb) == MPoly.from_dense(field, vars, "x", euclid)
 
 
 def test_qs_gcd_certificate_skips_bad_points():
@@ -297,10 +302,9 @@ def _binary_forms(coeff, degree: int):
     return st.lists(coeff, min_size=2, max_size=degree + 1).map(_binary_form).filter(lambda q: not q.is_zero())
 
 
-# Yun's algorithm over QQ(s)(alpha) grows its coefficients fast: the exact
-# path on a form of odd contact and degree 4 or 5 does not finish in a
-# test's time, so q is kept linear over QQ(s) where the exact path must
-# decide an odd form
+# q is kept linear over QQ(s) where the exact path must decide an odd form,
+# which keeps these property tests short; the exact path on larger odd forms
+# is pinned by the two tests at the end
 quadratic_qsa = _binary_forms(coeff_qsa, 2)
 linear_qs = _binary_forms(_coeffs(False), 1)
 EXACT_SETTINGS = settings(SETTINGS, max_examples=30)
@@ -372,3 +376,22 @@ def test_pole_at_the_place_falls_back(power):
         _assert_certificate(form, result)
     else:
         assert result == (False, None, None)
+
+
+# u and the quadratic q below have coefficients of degree 2 in s and alpha;
+# Yun's algorithm over QQ(m) decides these forms in seconds
+U = S * S * 3 - S * 2 + 5 + (S - 7) * ALPHA
+
+
+def test_exact_path_decides_an_odd_form_of_degree_5():
+    q = X * X * (S * 2 + 1) + X * Y * (S * S - 3) + Y * Y * (S * 5 - 2)
+    form = q * q * U * (X - Y * (S * 2 - 1 + ALPHA * 3))
+    assert _exact_contact(form) == (False, None, None)
+
+
+def test_exact_path_decides_a_form_even_at_the_place():
+    # q is linear over QQ(s)(alpha); x - s y and x - 4/3 y meet at the place
+    q = X * (ALPHA + 1) + Y * (S - ALPHA * 2)
+    form = (X - Y * S) * (X - Y * CONTACT_PLACE[0]) * q * q * U
+    assert not _odd_at_place(form, "y")
+    assert _exact_contact(form) == (False, None, None)

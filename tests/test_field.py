@@ -11,7 +11,6 @@ from k3pencil.field import (
     RatFunc,
     Field,
     quadratic_field,
-    qs_poly,
 )
 
 
@@ -49,11 +48,12 @@ def test_field_tower_alpha_square():
 
 def test_alpha_square_must_not_be_square():
     with pytest.raises(ValueError):
-        Field(True, qs_poly(0, 0, 1))     # s^2 is a square
-    with pytest.raises(ValueError):
         quadratic_field(4)
+    with pytest.raises(ValueError):
+        quadratic_field(0)
+    with pytest.raises(ValueError):
+        Field("s", 2)                      # alpha^2 is rational, over QQ only
     quadratic_field(2)                     # fine
-    QS.extend(qs_poly(2))                  # alpha^2 = 2 over QQ(s)
 
 
 def test_field_axioms_randomized():
@@ -66,11 +66,9 @@ def test_field_axioms_randomized():
         num, den = rp(), rp()
         while den.is_zero():
             den = rp()
-        a = RatFunc(num, den)
-        b = RatFunc(rp(), QPoly([1]))
-        from k3pencil.field import FieldElement
-
-        return FieldElement(field, a, b)
+        a = QS.from_ratfunc(RatFunc(num, den))
+        b = QS.from_ratfunc(RatFunc(rp(), QPoly([1])))
+        return field.coerce(a) + field.coerce(b) * field.alpha()
 
     for _ in range(40):
         x, y, z = (rand_elem(QSA) for _ in range(3))
@@ -99,6 +97,34 @@ def test_conjugate_norm():
     a = QSA.alpha()
     x = QSA.from_rat(3) + a * 2
     n = x * x.conjugate()
-    assert n.b.is_zero()
-    # 9 - 4 (s^2 - s)
-    assert str(n.a) == "-4*s^2 + 4*s + 9"
+    # 9 - 4 (s^2 - s), an element of QQ(s)
+    s = QS.s()
+    assert n == QSA.coerce(9 - 4 * (s * s - s))
+    assert str(n) == "-4*s^2 + 4*s + 9"
+    assert a.conjugate() == -a and QSA.s().conjugate() == QSA.s()
+
+
+def test_qqm_prints_and_sorts_as_its_s_alpha_pair():
+    # a + b*alpha with a, b in QQ(s), built in QQ(m), prints and sorts as the
+    # pair (a, b) it stands for
+    rng = random.Random(5)
+
+    def rand_qs():
+        def rp():
+            return QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+
+        den = rp()
+        while den.is_zero():
+            den = rp()
+        return QS.from_ratfunc(RatFunc(rp(), den))
+
+    for _ in range(40):
+        a, b = rand_qs(), rand_qs()
+        x = QSA.coerce(a) + QSA.coerce(b) * QSA.alpha()
+        assert x.sort_key() == a.sort_key()[:2] + b.sort_key()[:2]
+        if b.is_zero():
+            assert str(x) == str(a)
+        elif a.is_zero():
+            assert str(x) in ("alpha", f"({b})*alpha")
+        else:
+            assert str(x) == f"{a} + ({b})*alpha"

@@ -198,13 +198,24 @@ def test_specialize_alpha_consistency():
     # explicit rational alpha must square to the specialized alpha^2
     with pytest.raises(ValueError):
         specialize(a, -1, alpha0=Fraction(1))
-    # s = 1 makes alpha^2 = 0: a square, so symbolic specialization errors
+    # s = 1 is the rational place m = 0, where alpha = 0: a symbolic alpha
+    # errors, the explicit value works
     with pytest.raises(ValueError):
         specialize(a, 1)
-    # pole detection
+    assert specialize(a, 1, alpha0=0).is_zero()
+    assert specialize(QSA.s(), 1, alpha0=0) == QQ.one
+    # pole detection: 1/(s - 1) = (1 - m^2)/m^2
     bad = QSA.one / (QSA.s() - 1)
     with pytest.raises(ValueError):
-        specialize(bad, 1)
+        specialize(bad, 1, alpha0=0)
+    # s = 0 is the place m = infinity
+    with pytest.raises(ValueError):
+        specialize(a, 0, alpha0=0)
+    # at a non-square s0^2 - s0, m = alpha/s0 maps s to s0 and alpha to a root
+    for s0 in (2, 3, Fraction(-1, 2)):
+        e = specialize(a, s0)
+        assert e * e == s0 * s0 - s0
+        assert specialize(QSA.s(), s0) == s0
 
 
 def test_dense_and_generic_resultants_agree():
