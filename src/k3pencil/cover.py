@@ -252,17 +252,24 @@ def derive_lift(line: MPoly, config: BranchConfig) -> MPoly:
 
 
 def _field_sqrt(c: FieldElement) -> Optional[FieldElement]:
-    """Square root within the tower for the constants that occur here."""
-    if c.b.is_zero() and c.a.is_const():
-        r = _fraction_sqrt(c.a.const_value())
+    """Square root within the tower of a rational constant q: sqrt(q) in QQ,
+    else sqrt(q/d)*alpha over QQ(sqrt(d)); None for anything else."""
+    field, q = c.field, c.v
+    if field.with_s:
+        if not q.is_const():
+            return None
+        q = q.const_value()
+    elif field.d is not None:
+        if q[1]:
+            return None
+        q = q[0]
+    r = _fraction_sqrt(q)
+    if r is not None:
+        return field.from_rat(r)
+    if field.d is not None:
+        r = _fraction_sqrt(q / field.d)
         if r is not None:
-            return c.field.from_rat(r)
-        if c.field.alpha_square is not None:
-            m = c.field.alpha_square.const_value()
-            ratio = c.a.const_value() / m
-            r = _fraction_sqrt(ratio)
-            if r is not None:
-                return c.field.alpha() * r
+            return field.alpha() * r
     return None
 
 

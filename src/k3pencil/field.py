@@ -6,10 +6,19 @@ non-square d, and QQ(m).  QQ(m) is the field QQ(s)(alpha) of the generic
 fibre, alpha^2 = s^2 - s: that conic has the rational point (0, 0), and the
 line alpha = m*s through it parametrizes it by s = 1/(1 - m^2),
 alpha = m/(1 - m^2), m = alpha/s (Hartshorne, Algebraic Geometry, I.6).
-Elements are stored as ``a + b*alpha`` where a, b are reduced fractions of
-polynomials in the parameter with monic denominators, so equality is
-syntactic; b = 0 except over QQ(sqrt(d)).  Elements of QQ(m) print and sort
-as the pair (a, b) over QQ(s) they stand for.
+
+A FieldElement holds one value ``v``, in the flattest form its field allows
+(the domain design of Geddes, Czapor and Labahn, Algorithms for Computer
+Algebra, ch. 2-3):
+
+* over QQ, a ``Fraction``;
+* over QQ(sqrt(d)), a pair ``(a, b)`` of Fractions standing for
+  a + b*alpha, alpha^2 = d;
+* over QQ(s) and QQ(m), a reduced ``RatFunc`` in the parameter, with a
+  monic denominator.
+
+Each value is canonical, so equality is syntactic.  Elements of QQ(m) print
+and sort as the pair (a, b) over QQ(s) with a + b*alpha they stand for.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -363,29 +372,39 @@ def _m_to_s(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     return a, b * RatFunc(QP_ONE, _S_VAR)
 
 
+# What a FieldElement's value is, fixed by its field (see the module
+# docstring): a Fraction, a pair of Fractions, or a RatFunc.
+_RAT, _QUAD, _FUNC = "rat", "quad", "func"
+
+
 class Field:
     """Descriptor for a level of the coefficient tower.
 
     ``param`` names the transcendental generator: None for QQ and
-    QQ(sqrt(d)), "s" for QQ(s), "m" for QQ(m) = QQ(s)(alpha).
-    ``alpha_square`` (a rational d, or None, stored as a constant RatFunc)
-    makes the field QQ(sqrt(d)).
+    QQ(sqrt(d)), "s" for QQ(s), "m" for QQ(m) = QQ(s)(alpha).  ``d`` (a
+    rational non-square, or None) makes the field QQ(sqrt(d)).  ``kind`` is
+    the form of its elements' values: _RAT, _QUAD or _FUNC.
     """
 
-    __slots__ = ("param", "alpha_square", "zero", "one")
+    __slots__ = ("param", "d", "kind", "zero", "one")
 
-    def __init__(self, param: Optional[str] = None, alpha_square=None):
-        if alpha_square is not None:
+    def __init__(self, param: Optional[str] = None, d=None):
+        if d is not None:
             if param is not None:
                 raise ValueError("alpha^2 is rational: only QQ(sqrt(d)) has one")
-            d = Fraction(alpha_square)
+            d = Fraction(d)
             if d == 0 or _fraction_sqrt(d) is not None:
                 raise ValueError("alpha^2 is a square in QQ")
-            alpha_square = RatFunc.const(d)
         self.param = param
-        self.alpha_square = alpha_square
-        self.zero = FieldElement(self, RF_ZERO, RF_ZERO)
-        self.one = FieldElement(self, RF_ONE, RF_ZERO)
+        self.d = d
+        if param is not None:
+            self.kind, zero, one = _FUNC, RF_ZERO, RF_ONE
+        elif d is not None:
+            self.kind, zero, one = _QUAD, (_F0, _F0), (_F1, _F0)
+        else:
+            self.kind, zero, one = _RAT, _F0, _F1
+        self.zero = FieldElement(self, zero)
+        self.one = FieldElement(self, one)
 
     # -- the tower ------------------------------------------------------
 
@@ -395,49 +414,55 @@ class Field:
         return self.param is not None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.param == other.param
-            and self.alpha_square == other.alpha_square
+        return self is other or (
+            isinstance(other, Field) and self.param == other.param and self.d == other.d
         )
 
     def __hash__(self) -> int:
-        return hash((self.param, self.alpha_square))
+        return hash((self.param, self.d))
 
     def contains(self, other: "Field") -> bool:
         """Whether other embeds into self: QQ into every field, QQ(s) into
         QQ(m) by s = 1/(1 - m^2)."""
-        if other == self or (other.param is None and other.alpha_square is None):
+        if other.kind is _RAT or other == self:
             return True
         return self.param == "m" and other.param == "s"
 
     def level_name(self) -> str:
         if self.param is not None:
             return f"Q({self.param})"
-        return "Q" if self.alpha_square is None else "Q(alpha)"
+        return "Q" if self.d is None else "Q(alpha)"
 
     # -- element constructors -------------------------------------------
 
     def from_rat(self, c) -> "FieldElement":
-        return FieldElement(self, RatFunc.const(Fraction(c)), RF_ZERO)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if self.kind is _RAT:
+            return FieldElement(self, c)
+        if self.kind is _QUAD:
+            return FieldElement(self, (c, _F0))
+        return FieldElement(self, RatFunc.const(c))
 
     def from_ratfunc(self, r: RatFunc) -> "FieldElement":
         """The element r(t) for t the field's parameter (s or m)."""
-        return FieldElement(self, r, RF_ZERO)
+        if self.kind is not _FUNC:
+            raise ValueError(f"{self.level_name()} has no parameter")
+        return FieldElement(self, r)
 
     def s(self) -> "FieldElement":
         if self.param == "s":
-            return FieldElement(self, RatFunc.var(), RF_ZERO)
+            return FieldElement(self, RatFunc.var())
         if self.param == "m":
-            return FieldElement(self, RatFunc(QP_ONE, _ONE_MINUS_M2), RF_ZERO)
+            return FieldElement(self, RatFunc(QP_ONE, _ONE_MINUS_M2))
         raise ValueError("field has no parameter s")
 
     def alpha(self) -> "FieldElement":
         if self.param == "m":
-            return FieldElement(self, RatFunc(QPoly.var(), _ONE_MINUS_M2), RF_ZERO)
-        if self.alpha_square is None:
+            return FieldElement(self, RatFunc(QPoly.var(), _ONE_MINUS_M2))
+        if self.kind is not _QUAD:
             raise ValueError("field has no alpha")
-        return FieldElement(self, RF_ZERO, RF_ONE)
+        return FieldElement(self, (_F0, _F1))
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -447,9 +472,9 @@ class Field:
                 raise ValueError(
                     f"cannot coerce element of {x.field.level_name()} into {self.level_name()}"
                 )
-            if x.field.param == "s":
-                return FieldElement(self, _s_to_m(x.a), RF_ZERO)
-            return FieldElement(self, x.a, x.b)
+            if x.field.kind is _RAT:
+                return self.from_rat(x.v)
+            return FieldElement(self, _s_to_m(x.v))
         if isinstance(x, (int, Fraction)):
             return self.from_rat(x)
         if isinstance(x, RatFunc):
@@ -458,84 +483,101 @@ class Field:
 
 
 class FieldElement:
-    """Element a + b*alpha of a tower field; b = 0 except over QQ(sqrt(d)).
-    Over QQ(m), a is a function of m and alpha = m/(1 - m^2)."""
+    """Element of a tower field, held as one value ``v`` whose form the
+    field's ``kind`` fixes (see the module docstring).  Over QQ(m), alpha is
+    m/(1 - m^2)."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: Field, a: RatFunc, b: RatFunc):
-        if not b.is_zero() and field.alpha_square is None:
-            raise ValueError("alpha-component in a field without a rational alpha^2")
+    def __init__(self, field: Field, v):
         self.field = field
-        self.a = a
-        self.b = b
+        self.v = v
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        kind, v = self.field.kind, self.v
+        if kind is _RAT:
+            return not v
+        if kind is _FUNC:
+            return not v.num.coeffs
+        return not v[0] and not v[1]
 
     def is_one(self) -> bool:
-        return self.b.is_zero() and self.a == RF_ONE
+        return self.v == self.field.one.v
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, FieldElement):
+            return (other.field is self.field or other.field == self.field) and self.v == other.v
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rat(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-        )
+            return self.v == self.field.from_rat(other).v
+        return False
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        """hash(c) for an element equal to the rational c, as __eq__ asks."""
+        kind, v = self.field.kind, self.v
+        if kind is _QUAD and not v[1]:
+            return hash(v[0])
+        if kind is _FUNC and v.is_const():
+            return hash(v.const_value())
+        return hash(v)
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
         if not isinstance(other, FieldElement):
-            other = self.field.coerce(other)
-        elif other.field != self.field:
-            if self.field.contains(other.field):
-                other = self.field.coerce(other)
-            elif other.field.contains(self.field):
-                return other.field.coerce(self), other
-            else:
-                raise ValueError("incompatible fields")
-        return self, other
+            return self, self.field.coerce(other)
+        f, g = self.field, other.field
+        if g is f or g == f:
+            return self, other
+        if f.contains(g):
+            return self, f.coerce(other)
+        if g.contains(f):
+            return g.coerce(self), other
+        raise ValueError("incompatible fields")
 
     def __add__(self, other) -> "FieldElement":
         x, y = self._pair(other)
-        return FieldElement(x.field, x.a + y.a, x.b + y.b)
+        if x.field.kind is _QUAD:
+            (a, b), (c, e) = x.v, y.v
+            return FieldElement(x.field, (a + c, b + e))
+        return FieldElement(x.field, x.v + y.v)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.a, -self.b)
+        if self.field.kind is _QUAD:
+            a, b = self.v
+            return FieldElement(self.field, (-a, -b))
+        return FieldElement(self.field, -self.v)
 
     def __sub__(self, other) -> "FieldElement":
         x, y = self._pair(other)
-        return FieldElement(x.field, x.a - y.a, x.b - y.b)
+        if x.field.kind is _QUAD:
+            (a, b), (c, e) = x.v, y.v
+            return FieldElement(x.field, (a - c, b - e))
+        return FieldElement(x.field, x.v - y.v)
 
     def __rsub__(self, other) -> "FieldElement":
         return (-self) + other
 
     def __mul__(self, other) -> "FieldElement":
         x, y = self._pair(other)
-        if x.b.is_zero() and y.b.is_zero():
-            return FieldElement(x.field, x.a * y.a, RF_ZERO)
-        m = x.field.alpha_square
-        a = x.a * y.a + (x.b * y.b) * m
-        b = x.a * y.b + x.b * y.a
-        return FieldElement(x.field, a, b)
+        f = x.field
+        if f.kind is _QUAD:
+            (a, b), (c, e) = x.v, y.v
+            return FieldElement(f, (a * c + f.d * (b * e), a * e + b * c))
+        return FieldElement(f, x.v * y.v)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.b.is_zero():
-            return FieldElement(self.field, self.a.inv(), RF_ZERO)
-        m = self.field.alpha_square
-        ninv = (self.a * self.a - (self.b * self.b) * m).inv()
-        return FieldElement(self.field, self.a * ninv, -(self.b * ninv))
+        f, v = self.field, self.v
+        if f.kind is _RAT:
+            return FieldElement(f, Fraction(v.denominator, v.numerator))
+        if f.kind is _FUNC:
+            return FieldElement(f, v.inv())
+        a, b = v
+        n = a * a - f.d * (b * b)
+        return FieldElement(f, (a / n, -b / n))
 
     def __truediv__(self, other) -> "FieldElement":
         x, y = self._pair(other)
@@ -558,13 +600,21 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         """alpha -> -alpha, which is m -> -m over QQ(m)."""
-        if self.field.param == "m":
-            return FieldElement(self.field, RatFunc(_reflect(self.a.num), _reflect(self.a.den)), RF_ZERO)
-        return FieldElement(self.field, self.a, -self.b)
+        f, v = self.field, self.v
+        if f.kind is _QUAD:
+            return FieldElement(f, (v[0], -v[1]))
+        if f.param == "m":
+            return FieldElement(f, RatFunc(_reflect(v.num), _reflect(v.den)))
+        return self
 
     def _in_s(self) -> tuple[RatFunc, RatFunc]:
         """(a, b) with self = a + b*alpha and a, b in QQ(s) or QQ."""
-        return _m_to_s(self.a) if self.field.param == "m" else (self.a, self.b)
+        kind, v = self.field.kind, self.v
+        if kind is _RAT:
+            return RatFunc.const(v), RF_ZERO
+        if kind is _QUAD:
+            return RatFunc.const(v[0]), RatFunc.const(v[1])
+        return _m_to_s(v) if self.field.param == "m" else (v, RF_ZERO)
 
     def __str__(self) -> str:
         a, b = self._in_s()
@@ -594,4 +644,4 @@ QSA = Field("m")
 
 def quadratic_field(d) -> Field:
     """QQ(sqrt(d)) for a rational non-square d."""
-    return Field(alpha_square=d)
+    return Field(d=d)

@@ -107,8 +107,8 @@ def _coprime_by_specialization(a: list, b: list) -> bool:
     False means "not certified": the caller runs the Euclidean algorithm."""
     for t0 in COPRIME_TEST_POINTS:
         try:
-            a0 = [QQ.from_rat(c.a.eval(t0)) for c in a]
-            b0 = [QQ.from_rat(c.a.eval(t0)) for c in b]
+            a0 = [QQ.from_rat(c.v.eval(t0)) for c in a]
+            b0 = [QQ.from_rat(c.v.eval(t0)) for c in b]
         except ZeroDivisionError:
             continue
         if a0[-1].is_zero() and b0[-1].is_zero():
@@ -261,7 +261,7 @@ def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPol
 def _integral_entries(ents: list[list[FieldElement]]) -> tuple[list[list[int]], int]:
     """Rational entries (dense lists over QQ) times the lcm L of all their
     denominators, as int lists; returns them with L."""
-    fracs = [[c.a.const_value() for c in ent] for ent in ents]
+    fracs = [[c.v for c in ent] for ent in ents]
     scale = 1
     for ent in fracs:
         for c in ent:
@@ -516,7 +516,7 @@ def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = No
     if field.param is None:
         return field, lambda x: x
     if field.param == "s":
-        return QQ, lambda x: QQ.from_rat(x.a.eval(s0))
+        return QQ, lambda x: QQ.from_rat(x.v.eval(s0))
     if s0 == 0:
         raise ValueError("s = 0 is the place m = infinity")
     d = s0 * s0 - s0
@@ -524,7 +524,7 @@ def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = No
         alpha0 = Fraction(alpha0)
         if alpha0 * alpha0 != d:
             raise ValueError("inconsistent alpha value at specialization")
-        return QQ, lambda x: QQ.from_rat(x.a.eval(alpha0 / s0))
+        return QQ, lambda x: QQ.from_rat(x.v.eval(alpha0 / s0))
     if _fraction_sqrt(d) is not None:
         raise ValueError("alpha^2 specializes to a square; provide an explicit alpha value")
     target = quadratic_field(d)
@@ -536,7 +536,7 @@ def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = No
             acc = acc * m0 + c
         return acc
 
-    return target, lambda x: at_m0(x.a.num) / at_m0(x.a.den)
+    return target, lambda x: at_m0(x.v.num) / at_m0(x.v.den)
 
 
 def specialize(obj, s0, alpha0: Optional[Fraction] = None):
