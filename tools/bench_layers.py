@@ -1,11 +1,13 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
 runtime_ms of each of its checks, and a coefficient-layer microbenchmark.
 
-    python3 tools/bench_layers.py BASE_SRC CHANGE_SRC [--runs 3] > BENCH.json
+    python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
 BASE_SRC and CHANGE_SRC are the ``src`` directories of the two checkouts.
 Each measurement runs in a fresh interpreter with that directory on
-PYTHONPATH; the two sides alternate, run by run.  Reported per side:
+PYTHONPATH; the two sides alternate, run by run, RUNS times.  A side whose
+`k3pencil all` exits non-zero (a crash, or a check with status "fail")
+stops the script, so only passing reports are timed.  Reported per side:
 
 * ``all_wall_s``: wall time of ``python3 -m k3pencil.cli all``, every run
   and the median;
@@ -31,6 +33,7 @@ import sys
 import tempfile
 import time
 
+RUNS = 3
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)")
 OPS = ("mul", "add", "sub", "inv")
 
@@ -70,13 +73,13 @@ def _env(src: str) -> dict:
 
 
 def run_all(src: str) -> tuple[float, dict]:
-    """Wall seconds of one `k3pencil all` and its checks' runtime_ms."""
+    """Wall seconds of one passing `k3pencil all` and its checks' runtime_ms."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "all.json")
         t0 = time.perf_counter()
         subprocess.run(
             [sys.executable, "-m", "k3pencil.cli", "all", "--out", out],
-            env=_env(src), stdout=subprocess.DEVNULL, check=False,
+            env=_env(src), stdout=subprocess.DEVNULL, check=True,
         )
         wall = time.perf_counter() - t0
         with open(out) as fh:
@@ -92,10 +95,10 @@ def run_micro(src: str) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(sides: dict, runs: int) -> dict:
+def measure(sides: dict) -> dict:
     walls = {name: [] for name in sides}
     checks = {name: [] for name in sides}
-    for _ in range(runs):
+    for _ in range(RUNS):
         for name, src in sides.items():
             wall, ms = run_all(src)
             walls[name].append(round(wall, 3))
@@ -116,7 +119,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.micro:
@@ -124,7 +126,7 @@ def main() -> None:
         return
     if not (args.base and args.change):
         ap.error("BASE_SRC and CHANGE_SRC are required")
-    sides = measure({"base": args.base, "change": args.change}, args.runs)
+    sides = measure({"base": args.base, "change": args.change})
     base, change = sides["base"], sides["change"]
     ratio = {
         "all_wall_s": round(change["all_wall_s"]["median"] / base["all_wall_s"]["median"], 3),
@@ -137,14 +139,14 @@ def main() -> None:
         },
     }
     report = {
-        "command": "python3 tools/bench_layers.py BASE_SRC CHANGE_SRC --runs %d" % args.runs,
+        "command": "python3 tools/bench_layers.py BASE_SRC CHANGE_SRC",
         "machine": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "cpus": os.cpu_count(),
             "system": platform.system(),
         },
-        "runs": args.runs,
+        "runs": RUNS,
         **sides,
         "ratio_change_over_base": ratio,
     }
