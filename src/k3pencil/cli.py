@@ -1,6 +1,7 @@
-"""Command-line front end: runs the verification checks and emits a
-deterministic JSON report (schema "k3pencil/1", rationals as "p/q" strings,
-exit code 0 when nothing failed, 1 on any failure, 2 on usage errors)."""
+"""Command-line front end: runs the verification checks and emits a JSON
+report (schema "k3pencil/1", rationals as "p/q" strings, deterministic
+apart from the timings and the header; exit code 0 when nothing failed, 1
+on any failure, 2 on usage errors)."""
 
 from __future__ import annotations
 
@@ -505,13 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    t0 = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        jet_order_from_env()
+        jet_order = jet_order_from_env()
         lattice = lattice_invariants(standard_lattice(args.spec)) if args.command == "lattice" else None
     except ValueError as e:
         print(f"k3pencil: error: {e}", file=sys.stderr)
@@ -522,7 +524,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for command, selector, check_id, fn in CHECKS
         if _selected(command, selector, check_id, args)
     ]
-    report = {"schema": SCHEMA, "command": args.command, "checks": checks}
+    header = {"version": __version__, "python": sys.version.split()[0], "jet_order": jet_order}
+    report = {"schema": SCHEMA, "header": header, "command": args.command, "checks": checks}
     extra = None
     if args.command == "singularities":
         extra = {"rows": [row for c in checks for row in c["details"].get("rows", [])]}
@@ -536,6 +539,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         extra = series_data(args.op, args.n, args.corrected)
     if extra:
         report["data"] = extra
+    header["total_ms"] = int((time.perf_counter() - t0) * 1000)
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,9 +1,10 @@
 """Exact integral lattice engine: Gram matrices, ranks and determinants by
-one fraction-free integer elimination, signatures by rational congruence
-diagonalization, the Smith normal form (from which radical quotients, kernels
-and the dual generators of discriminant groups are read), finite quadratic
-forms, and the invariant-fingerprint comparison used to identify lattices up
-to the uniqueness theorems."""
+one fraction-free integer elimination, signatures by a symmetric
+fraction-free elimination and Jacobi's sign rule, the Smith normal form
+(from which radical quotients, kernels and the dual generators of
+discriminant groups are read), finite quadratic forms, and the
+invariant-fingerprint comparison used to identify lattices up to the
+uniqueness theorems."""
 
 from __future__ import annotations
 
@@ -323,46 +324,54 @@ def ade_chain(n: int) -> GramLattice:
 
 
 def rank_signature(L: GramLattice) -> tuple[int, int, int, int]:
-    """(rank, n_plus, n_minus, n_zero) by exact congruence diagonalization."""
+    """(rank, n_plus, n_minus, n_zero) by a symmetric fraction-free (Bareiss)
+    elimination on ``int`` rows.
+
+    Eliminating with the diagonal pivot a_kk is a congruence, and after k
+    pivots every entry of the trailing block is the minor on the first k
+    rows and columns bordered by its own row and column, so each division
+    is exact (Sylvester's identity) and the pivots are the leading principal
+    minors p_1, p_2, ...  The congruence diagonalization then has the
+    entries p_(k+1) / p_k (p_0 = 1), whose signs are sign(p_(k+1)) *
+    sign(p_k): Jacobi's rule (Gantmacher, Theory of Matrices I, ch. X).  A
+    zero pivot is replaced by a congruence that moves only the trailing
+    block, so the minors already eliminated stay the same and the bordered
+    minors transform like the entries: a symmetric swap with a later
+    nonzero diagonal entry, or, when the whole trailing diagonal is zero,
+    row_i += row_j and col_i += col_j for a nonzero a_ij, which makes
+    a_ii = 2 a_ij.  When the trailing block is zero the rank is the pivot
+    count, and Sylvester's law of inertia gives the signature."""
     n = L.dim
-    a = [[Fraction(x) for x in row] for row in L.gram]
-
-    def sym_op(i, j, c):
-        for t in range(n):
-            a[i][t] += c * a[j][t]
-        for t in range(n):
-            a[t][i] += c * a[t][j]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for t in range(n):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-
+    a = [list(row) for row in L.gram]
     pos = neg = 0
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if piv is not None:
-                sym_swap(k, piv)
-            else:
-                off = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                    None,
-                )
-                if off is None:
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is None:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+                if pair is None:
                     break
-                i, j = off
-                sym_op(i, j, Fraction(1))
-                if i != k:
-                    sym_swap(k, i)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                sym_op(i, k, -a[i][k] / pivot)
-        if pivot > 0:
+                i, j = pair
+                for t in range(k, n):
+                    a[i][t] += a[j][t]
+                for row in a[k:]:
+                    row[i] += row[j]
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                for row in a[k:]:
+                    row[k], row[i] = row[i], row[k]
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
     rank = pos + neg
     return rank, pos, neg, n - rank
 
@@ -388,12 +397,6 @@ class DiscForm:
     orders: tuple            # invariant factors > 1
     q: tuple                 # Fractions reduced to [0, 2)
     b: tuple                 # tuple of tuples, Fractions reduced to [0, 1)
-
-    def group_order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
 
     def elements(self):
         return product(*(range(d) for d in self.orders))
@@ -503,43 +506,39 @@ def lattice_invariants(L: GramLattice) -> LatticeInvariants:
 
 
 def disc_forms_isomorphic(a: DiscForm, b: DiscForm) -> bool:
-    """Brute-force search for a group isomorphism matching q and b; the
-    groups here have order at most a few dozen."""
+    """Search for a group isomorphism A -> B matching q and b, over the
+    images of the generators of A.
+
+    A tuple of images y_i of the generators e_i, each of the order d_i of
+    e_i, defines a homomorphism phi; it is kept when phi is bijective,
+    q_B(y_i) = q_A(e_i) for the k generators and b_B(y_i, y_j) = b_A(e_i,
+    e_j) for the k(k-1)/2 pairs i < j.  That is enough because
+    ``DiscForm.q_of`` is exactly sum x_i^2 q_i + 2 sum_(i<j) x_i x_j b_ij
+    in the coordinates x, so q(phi(x)) = sum x_i^2 q(y_i) + 2 sum_(i<j)
+    x_i x_j b(y_i, y_j) mod 2 for a form whose b_ii = q_i mod 1 (those of
+    ``discriminant_group_form``), and b is bilinear with b(x, x) = q(x) mod
+    1; so q and b then agree on all of A and all pairs, which is what an
+    isomorphism of discriminant forms must satisfy.  The q test runs per
+    generator, before the product of the candidate lists is formed."""
     if sorted(a.orders) != sorted(b.orders):
         return False
-    if a.group_order() != b.group_order():
-        return False
-    if a.group_order() == 1:
-        return True
-    b_elements = list(b.elements())
-    candidates = []
-    for g_ord in a.orders:
-        candidates.append([e for e in b_elements if b.element_order(e) == g_ord])
     k = len(a.orders)
+    b_elements = list(b.elements())
+    candidates = [
+        [e for e in b_elements if b.element_order(e) == d and b.q_of(e) == qi]
+        for d, qi in zip(a.orders, a.q)
+    ]
     a_elements = list(a.elements())
     for images in product(*candidates):
-        # the map sending generator i to images[i]
-        def phi(g):
-            out = [0] * k
-            for i in range(k):
-                for t in range(k):
-                    out[t] = (out[t] + g[i] * images[i][t]) % b.orders[t]
-            return tuple(out)
-
-        seen = {phi(g) for g in a_elements}
-        if len(seen) != len(a_elements):
+        if any(
+            b.b_of(images[i], images[j]) != a.b[i][j] for i in range(k) for j in range(i + 1, k)
+        ):
             continue
-        if any(a.q_of(g) != b.q_of(phi(g)) for g in a_elements):
-            continue
-        ok = True
-        for g in a_elements:
-            for h in a_elements:
-                if a.b_of(g, h) != b.b_of(phi(g), phi(h)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        seen = {
+            tuple(sum(g[i] * images[i][t] for i in range(k)) % b.orders[t] for t in range(k))
+            for g in a_elements
+        }
+        if len(seen) == len(a_elements):
             return True
     return False
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .field import Field, FieldElement, QQ
 from .mpoly import MPoly
-from .polyops import gcd_bivariate, gcd_poly, resultant
+from .polyops import _dl_mul, _trim, gcd_bivariate, gcd_poly, resultant
 
 DEFAULT_JET_ORDER = 10
 
@@ -576,13 +576,25 @@ def double_cover_type(sextic: MPoly, P: ProjPoint, jet_order: Optional[int] = No
 
 
 def intersection_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
-    """I_P(F, G) for plane curves without a common component through P,
-    by the axiomatic reduction algorithm on a chart at P."""
+    """I_P(F, G) for plane curves without a common component through P: by
+    restriction when either curve is a line (``_line_contact``), else by the
+    axiomatic reduction algorithm on a chart at P."""
     if F.field != G.field:
         if F.field.contains(G.field):
             G = G.to_field(F.field)
         else:
             F = F.to_field(G.field)
+    if G.total_degree() == 1:
+        return _line_contact(F, G, P)
+    if F.total_degree() == 1:
+        return _line_contact(G, F, P)
+    return _fulton_multiplicity(F, G, P)
+
+
+def _fulton_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
+    """I_P(F, G) over one field by the axiomatic reduction algorithm
+    (Fulton, section 3.3) on a chart at P, after a bivariate gcd rules out a
+    common component through P."""
     vars = F.vars
     i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
     chart = vars[i]
@@ -599,6 +611,50 @@ def intersection_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     if d.total_degree() > 0 and d.const_coeff().is_zero():
         raise ValueError("infinite intersection multiplicity: common component")
     return _imult_origin(f, g)
+
+
+def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
+    """I_P(F, L) for a line L, as ord_{t=0} F(P + t Q) (Fulton, Algebraic
+    Curves, section 3.3).
+
+    P is scaled so that its chart coordinate x_i is 1, and Q is the point of
+    L with x_i = 0: (l_k, -l_j) on the other two coordinates x_j, x_k of
+    L = l_i x_i + l_j x_j + l_k x_k.  Sound because a line is nonsingular at
+    each of its points, where I_P(F, L) = ord_P^L(F), the order of F in the
+    discrete valuation ring of L at P; t -> P + t Q with Q != P on L is a
+    uniformizing parameter there, and on the chart x_i = 1 + t Q_i = 1 the
+    restriction is the dehomogenized F on L, as the Fulton reduction sees
+    it.  A restriction that is identically zero means F vanishes on L, so L
+    is a component of F."""
+    field, zero = F.field, F.field.zero
+    i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
+    inv = P.coords[i].inv()
+    point = [field.coerce(c * inv) for c in P.coords]
+    if not L.evaluate(point).is_zero():
+        return 0
+    j, k = [v for v in range(3) if v != i]
+    linear = {e.index(1): c for e, c in L.terms.items() if sum(e) == 1}
+    bases = {
+        j: _trim([point[j], linear.get(k, zero)]),
+        k: _trim([point[k], -linear.get(j, zero)]),
+    }
+    powers = {v: [[field.one]] for v in bases}
+    restriction: list = []
+    for e, c in F.terms.items():
+        term = [c]
+        for v, base in bases.items():  # x_i = 1 on the chart
+            cache = powers[v]
+            while len(cache) <= e[v]:
+                cache.append(_dl_mul(cache[-1], base, zero))
+            if e[v]:
+                term = _dl_mul(term, cache[e[v]], zero)
+        restriction += [zero] * (len(term) - len(restriction))
+        for d, x in enumerate(term):
+            restriction[d] = restriction[d] + x
+    order = next((d for d, x in enumerate(restriction) if not x.is_zero()), None)
+    if order is None:
+        raise ValueError("infinite intersection multiplicity: common component")
+    return order
 
 
 def _ord_univar(p: MPoly) -> int:

@@ -1,11 +1,12 @@
 import json
 import os
+import platform
 import re
 import shlex
 
 import pytest
 
-from k3pencil import cli
+from k3pencil import __version__, cli
 from k3pencil.claims import CLAIMS, FLAGGED_CHECKS, render_markdown
 from k3pencil.cli import CHECKS, build_parser, main
 
@@ -102,13 +103,27 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_report_determinism(capsys):
-    a = _report(capsys, ["identities"])[1]["checks"]
-    b = _report(capsys, ["identities"])[1]["checks"]
+    a = _report(capsys, ["identities"])[1]
+    b = _report(capsys, ["identities"])[1]
 
-    def strip(checks):
-        return [{k: v for k, v in c.items() if k != "runtime_ms"} for c in checks]
+    def strip(report):
+        checks = [{k: v for k, v in c.items() if k != "runtime_ms"} for c in report["checks"]]
+        return {**{k: v for k, v in report.items() if k != "header"}, "checks": checks}
 
     assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
+
+
+def test_report_header(capsys, monkeypatch):
+    monkeypatch.setenv("K3PENCIL_JET_ORDER", "7")
+    _, report = _report(capsys, ["series", "--op", "apery", "--n", "5"])
+    header = report["header"]
+    assert list(report)[:2] == ["schema", "header"]
+    assert set(header) == {"version", "python", "jet_order", "total_ms"}
+    assert header["version"] == __version__
+    assert header["python"] == platform.python_version()
+    assert header["jet_order"] == 7
+    assert isinstance(header["total_ms"], int)
+    assert header["total_ms"] >= sum(c["runtime_ms"] for c in report["checks"])
 
 
 # The line and w strings of the generic fibre and of s = -1, as printed when

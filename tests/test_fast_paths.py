@@ -7,14 +7,23 @@ against the exact path it replaces or the known answer.
 * the series Newton loop of milnor_ade_classify on A_k normal forms moved
   by a random invertible linear change and translation;
 * the integer Bareiss rank and determinant of the lattice engine vs the
-  Fraction diagonalization rank_signature and the earlier Bareiss det_int,
-  on symmetric integer matrices, rank-deficient ones included;
+  test-local Fraction congruence diagonalization fraction_rank_signature
+  and the earlier Bareiss det_int, on symmetric integer matrices,
+  rank-deficient ones included;
+* the integer signature rank_signature (symmetric Bareiss, Jacobi's sign
+  rule) vs fraction_rank_signature, zero diagonals included;
 * the odd-contact certificate at CONTACT_PLACE vs the exact squarefree
   path of even_contact_test on binary forms over QQ(s)(alpha) = QQ(m), and
-  the exact path alone on two odd forms of degree 5 and 4.
+  the exact path alone on two odd forms of degree 5 and 4;
+* the line contact by restriction vs the Fulton reduction, on lines
+  through points of plane cubics over QQ and QQ(sqrt 2), lines that are
+  components of a reducible cubic included;
+* the generator test of disc_forms_isomorphic vs a search over all
+  elements and all pairs, on discriminant forms of small even lattices.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,8 +31,15 @@ from hypothesis import strategies as st
 
 from k3pencil import QQ, QS, QSA, MPoly, cover
 from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
-from k3pencil.field import QPoly, RatFunc
-from k3pencil.lattice import GramLattice, det_int, rank_int, rank_signature
+from k3pencil.field import QPoly, RatFunc, quadratic_field
+from k3pencil.lattice import (
+    GramLattice,
+    det_int,
+    disc_forms_isomorphic,
+    lattice_invariants,
+    rank_int,
+    rank_signature,
+)
 from k3pencil.polyops import (
     COPRIME_TEST_POINTS,
     _bareiss_det,
@@ -35,7 +51,7 @@ from k3pencil.polyops import (
     resultant,
     specialize,
 )
-from k3pencil.singular import milnor_ade_classify
+from k3pencil.singular import ProjPoint, _fulton_multiplicity, _line_contact, milnor_ade_classify
 
 SETTINGS = settings(
     derandomize=True,
@@ -240,10 +256,55 @@ def _row_by_row_det(m):
     return sign * a[n - 1][n - 1]
 
 
+def fraction_rank_signature(m) -> tuple[int, int, int, int]:
+    """(rank, n_plus, n_minus, n_zero) of a symmetric integer matrix by
+    congruence diagonalization over Fraction: the oracle of the integer
+    rank_int and rank_signature."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+
+    def sym_op(i, j, c):
+        for t in range(n):
+            a[i][t] += c * a[j][t]
+        for t in range(n):
+            a[t][i] += c * a[t][j]
+
+    def sym_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for t in range(n):
+            a[t][i], a[t][j] = a[t][j], a[t][i]
+
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                sym_swap(k, piv)
+            else:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    break
+                i, j = off
+                sym_op(i, j, Fraction(1))
+                if i != k:
+                    sym_swap(k, i)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                sym_op(i, k, -a[i][k] / pivot)
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+    rank = pos + neg
+    return rank, pos, neg, n - rank
+
+
 @st.composite
-def symmetric_int_matrices(draw):
+def symmetric_int_matrices(draw, zero_diagonal=False):
     """A + A^T, or B^T B with B of k <= n rows (rank at most k), then up to
-    two rows and columns zeroed."""
+    two rows and columns zeroed; with zero_diagonal, sometimes the whole
+    diagonal zeroed as well."""
     n = draw(st.integers(1, 7))
     entries = st.integers(-3, 3)
     if draw(st.booleans()):
@@ -256,6 +317,9 @@ def symmetric_int_matrices(draw):
     for z in draw(st.sets(st.integers(0, n - 1), max_size=2)):
         for t in range(n):
             m[z][t] = m[t][z] = 0
+    if zero_diagonal and draw(st.booleans()):
+        for t in range(n):
+            m[t][t] = 0
     return m
 
 
@@ -266,11 +330,171 @@ def symmetric_int_matrices(draw):
 @example([[2, 4], [4, 8]])
 def test_integer_rank_and_det_match_exact(m):
     assert det_int(m) == _row_by_row_det(m)
-    assert rank_int(m) == rank_signature(GramLattice.from_rows(m))[0]
+    assert rank_int(m) == fraction_rank_signature(m)[0]
 
 
 def test_det_int_of_empty_matrix():
     assert det_int([]) == 1
+
+
+@SETTINGS
+@given(symmetric_int_matrices(zero_diagonal=True))
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+@example([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
+@example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+@example([[2, 4], [4, 8]])
+def test_integer_signature_matches_fraction_diagonalization(m):
+    assert rank_signature(GramLattice.from_rows(m)) == fraction_rank_signature(m)
+
+
+# -- line contact by restriction -----------------------------------------------
+
+SQRT2 = quadratic_field(2)
+
+
+def _element(field, pair):
+    a, b = pair
+    return field.from_rat(a) + (field.alpha() * b if field is SQRT2 else field.zero)
+
+
+def _form(field, degree, coeffs):
+    exps = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    return MPoly(field, VARS, {e: _element(field, c) for e, c in zip(exps, coeffs)})
+
+
+def _line_through(field, P, R):
+    """The line det(P, R, X) through P and R."""
+    x, y, z = MPoly.gens(field, VARS)
+    p, r = P.coords, R.coords
+    return x * (p[1] * r[2] - p[2] * r[1]) + y * (p[2] * r[0] - p[0] * r[2]) + z * (p[0] * r[1] - p[1] * r[0])
+
+
+def _contact_or_error(fn, F, L, P):
+    try:
+        return fn(F, L, P)
+    except ValueError as e:
+        assert "common component" in str(e)
+        return "common component"
+
+
+coeff_pairs = st.tuples(small_int, small_int)
+nonzero_pairs = st.tuples(st.integers(-4, 4).filter(bool), small_int)
+points = st.lists(coeff_pairs, min_size=3, max_size=3)
+
+
+@SETTINGS
+@given(
+    points,
+    points,
+    points,
+    st.integers(0, 3),
+    st.lists(coeff_pairs, min_size=6, max_size=6),
+    st.lists(nonzero_pairs, min_size=10, max_size=10),
+    st.booleans(),
+)
+@example([(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], 3, [(1, 0)] * 6, [(1, 0)] * 10, False)
+@example([(1, 1), (2, 0), (1, 0)], [(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0), (3, 0)], 1, [(1, 0)] * 6, [(1, 0)] * 10, False)
+@example([(1, 1), (2, 0), (1, 0)], [(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0), (3, 0)], 2, [(2, 1)] * 6, [(-1, 1)] * 10, False)
+def test_line_contact_matches_fulton(p, r, a, m, conic, rest, reducible):
+    # the cubic L Q + A^m B through P, with A the line through P and a third
+    # point: its contact with L at P is m or more (more where B(P) = 0), and
+    # with B = 0 the line L is a component.  Over QQ the sqrt(2) parts drop.
+    for field in (QQ, SQRT2):
+        coords = [[_element(field, c) for c in pt] for pt in (p, r, a)]
+        if any(all(c.is_zero() for c in pt) for pt in coords):
+            continue
+        P, R, S = (ProjPoint(field, pt) for pt in coords)
+        L, A = _line_through(field, P, R), _line_through(field, P, S)
+        if L.is_zero() or A.is_zero():
+            continue
+        F = L * _form(field, 2, conic)
+        if not reducible:
+            F = F + A ** m * _form(field, 3 - m, rest)
+        expected = _contact_or_error(_fulton_multiplicity, F, L, P)
+        if reducible:
+            assert expected == "common component"
+        assert _contact_or_error(_line_contact, F, L, P) == expected
+        assert _contact_or_error(_line_contact, F, L, R) == _contact_or_error(_fulton_multiplicity, F, L, R)
+
+
+# -- discriminant-form isomorphism on generators ---------------------------------
+
+
+def all_pairs_isomorphic(a, b) -> bool:
+    """The search that disc_forms_isomorphic replaced: every bijective
+    homomorphism given by generator images of the right orders is tested on
+    q of every element and b of every pair of elements."""
+    if sorted(a.orders) != sorted(b.orders):
+        return False
+    k = len(a.orders)
+    b_elements = list(b.elements())
+    candidates = [[e for e in b_elements if b.element_order(e) == d] for d in a.orders]
+    a_elements = list(a.elements())
+    for images in product(*candidates):
+        phi = {
+            g: tuple(sum(g[i] * images[i][t] for i in range(k)) % b.orders[t] for t in range(k))
+            for g in a_elements
+        }
+        if len(set(phi.values())) != len(a_elements):
+            continue
+        if all(a.q_of(g) == b.q_of(phi[g]) for g in a_elements) and all(
+            a.b_of(g, h) == b.b_of(phi[g], phi[h]) for g in a_elements for h in a_elements
+        ):
+            return True
+    return False
+
+
+def _block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(b)] = row
+        at += len(b)
+    return m
+
+
+# <2n> and binary even forms [[2a, b], [b, 2c]]; at most two blocks and a
+# group of order at most 24 keep the all-pairs search short
+even_blocks = st.one_of(
+    st.sampled_from([-12, -8, -6, -4, -2, 2, 4, 6, 8, 12]).map(lambda n: [[n]]),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+    .map(lambda t: [[2 * t[0], t[1]], [t[1], 2 * t[2]]])
+    .filter(lambda m: m[0][0] * m[1][1] != m[0][1] ** 2),
+)
+even_lattices = (
+    st.lists(even_blocks, min_size=1, max_size=2)
+    .map(_block_sum)
+    .filter(lambda m: abs(det_int(m)) <= 24)
+)
+
+
+def _disc_form(m):
+    return lattice_invariants(GramLattice.from_rows(m)).disc_form
+
+
+@SETTINGS
+@given(even_lattices, even_lattices, st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))))
+@example([[-12]], [[12]], [])
+@example([[-2, 0], [0, 2]], [[2, 1], [1, -4]], [(0, 1, 1)])
+@example([[4]], [[-4]], [])
+def test_generator_isomorphism_matches_all_pairs(m, other, moves):
+    fa, fb = _disc_form(m), _disc_form(other)
+    assert disc_forms_isomorphic(fa, fb) == all_pairs_isomorphic(fa, fb)
+    assert disc_forms_isomorphic(fa, fa.negated()) == all_pairs_isomorphic(fa, fa.negated())
+    # a change of basis, row_i += c row_j and col_i += c col_j, keeps the form
+    moved = [row[:] for row in m]
+    n = len(moved)
+    for i, j, c in moves:
+        i, j = i % n, j % n
+        if i != j:
+            for t in range(n):
+                moved[i][t] += c * moved[j][t]
+            for t in range(n):
+                moved[t][i] += c * moved[t][j]
+    assert disc_forms_isomorphic(fa, _disc_form(moved))
 
 
 # -- odd contact at a rational place -------------------------------------------

@@ -22,6 +22,7 @@ from k3pencil.picard import (
     reflection_isomorphism_check,
     transcendental_invariants,
 )
+from test_fast_paths import fraction_rank_signature
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +188,11 @@ def test_integer_rank_matches_rank_signature(fiber_configs):
         for bits in product((0, 1), repeat=len(cfg.ambiguous_pairs))
     ]
     assert len(completions) == 288
+    # both integer eliminations against the Fraction congruence diagonalization
     for cfg, m in completions:
-        assert rank_int(m) == rank_signature(GramLattice.from_rows(m, cfg.labels))[0]
+        exact = fraction_rank_signature(m)
+        assert rank_int(m) == exact[0]
+        assert rank_signature(GramLattice.from_rows(m, cfg.labels)) == exact
 
 
 def test_enumeration_pinned_without_per_assignment_signatures(fiber_configs, monkeypatch):

@@ -1,5 +1,6 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
-runtime_ms of each of its checks, and a coefficient-layer microbenchmark.
+runtime_ms of each of its checks, and coefficient-layer and lattice-layer
+microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
@@ -15,7 +16,12 @@ stops the script, so only passing reports are timed.  Reported per side:
   ``runtime_ms`` in that report;
 * ``coefficient_us``: microseconds per FieldElement mul/add/sub/inv over
   QQ, QQ(sqrt(2)), QQ(s) and QQ(m) (the best of five timeit repeats), built
-  only through the public constructors, so any two versions compare.
+  only through the public constructors, so any two versions compare;
+* ``lattice_us``: microseconds per ``rank_int``, ``rank_signature`` and
+  ``smith_normal_form`` on the Gram matrix of the first surviving sheet
+  assignment of the generic fibre (23 x 23, rank 19), and per
+  ``disc_forms_isomorphic`` of its discriminant form against that of the
+  Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
 
 ``ratio`` is change over base for the medians and the microbenchmark.
 Standard library only.
@@ -32,16 +38,24 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 
 RUNS = 3
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)")
 OPS = ("mul", "add", "sub", "inv")
+LATTICE_OPS = ("rank_int", "rank_signature", "smith_normal_form", "disc_forms_isomorphic")
+
+
+def _us_per_call(fn) -> float:
+    """Microseconds per call of fn: the best of five timeit repeats."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return round(min(timer.repeat(5, number)) / number * 1e6, 3)
 
 
 def coefficient_micro() -> dict:
     """Per field and operation, microseconds per call of the k3pencil on
     sys.path."""
-    import timeit
     from fractions import Fraction as F
 
     from k3pencil.field import QQ, QS, QSA, quadratic_field
@@ -59,13 +73,27 @@ def coefficient_micro() -> dict:
     for name in FIELDS:
         x, y = pairs[name]
         calls = {"mul": lambda: x * y, "add": lambda: x + y, "sub": lambda: x - y, "inv": x.inv}
-        row = {}
-        for op in OPS:
-            timer = timeit.Timer(calls[op])
-            number, _ = timer.autorange()
-            row[op] = round(min(timer.repeat(5, number)) / number * 1e6, 3)
-        out[name] = row
+        out[name] = {op: _us_per_call(calls[op]) for op in OPS}
     return out
+
+
+def lattice_micro() -> dict:
+    """Per lattice kernel, microseconds per call of the k3pencil on sys.path,
+    on the generic survivor Gram matrix and its fingerprint."""
+    from k3pencil import lattice as lat
+    from k3pencil.picard import FIBER_MODELS, build_divisor_config, enumerate_and_filter
+
+    m = enumerate_and_filter(build_divisor_config("generic")).completions[0]
+    L = lat.GramLattice.from_rows(m)
+    form = lat.lattice_invariants(L).disc_form
+    model = lat.lattice_invariants(lat.standard_lattice(FIBER_MODELS["generic"][0])).disc_form
+    calls = {
+        "rank_int": lambda: lat.rank_int(m),
+        "rank_signature": lambda: lat.rank_signature(L),
+        "smith_normal_form": lambda: lat.smith_normal_form(m),
+        "disc_forms_isomorphic": lambda: lat.disc_forms_isomorphic(form, model),
+    }
+    return {op: _us_per_call(calls[op]) for op in LATTICE_OPS}
 
 
 def _env(src: str) -> dict:
@@ -110,7 +138,7 @@ def measure(sides: dict) -> dict:
             "check_runtime_ms": {
                 cid: statistics.median(run[cid] for run in checks[name]) for cid in checks[name][0]
             },
-            "coefficient_us": run_micro(src),
+            **run_micro(src),
         }
     return out
 
@@ -122,7 +150,7 @@ def main() -> None:
     ap.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.micro:
-        print(json.dumps(coefficient_micro()))
+        print(json.dumps({"coefficient_us": coefficient_micro(), "lattice_us": lattice_micro()}))
         return
     if not (args.base and args.change):
         ap.error("BASE_SRC and CHANGE_SRC are required")
@@ -136,6 +164,9 @@ def main() -> None:
         "coefficient_us": {
             f: {op: round(change["coefficient_us"][f][op] / base["coefficient_us"][f][op], 3) for op in OPS}
             for f in FIELDS
+        },
+        "lattice_us": {
+            op: round(change["lattice_us"][op] / base["lattice_us"][op], 3) for op in LATTICE_OPS
         },
     }
     report = {
