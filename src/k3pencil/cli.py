@@ -456,6 +456,17 @@ def lines_data(s_value: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _series_order(text: str) -> int:
+    """The value of `--n`: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="k3pencil",
@@ -494,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fiber", choices=["generic", "s1", "s-1", "all"], default="all")
     sp = add("series", "operator and sequence checks")
     sp.add_argument("--op", choices=["apery", "fermi", "domb", "walk", "all"], default="all")
-    sp.add_argument("--n", type=int, default=50)
+    sp.add_argument("--n", type=_series_order, default=50, help="the series order (>= 0)")
     sp.add_argument("--corrected", action="store_true")
     sp = add("identities", "closed-form identity checks")
     sp.add_argument(

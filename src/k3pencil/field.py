@@ -14,23 +14,30 @@ Algebra, ch. 2-3):
 * over QQ, a ``Fraction``;
 * over QQ(sqrt(d)), a pair ``(a, b)`` of Fractions standing for
   a + b*alpha, alpha^2 = d;
-* over QQ(s) and QQ(m), a reduced ``RatFunc`` in the parameter, with a
-  monic denominator.
+* over QQ(s) and QQ(m), a ``RatFunc`` c*P/Q in the parameter t: c a
+  Fraction carrying the sign and the rational content, P and Q primitive
+  polynomials in Z[t] (``QPoly`` on ``int`` tuples) with positive leading
+  coefficients and gcd(P, Q) = 1.  Its arithmetic runs on integers only
+  (see ``RatFunc``).
 
-Each value is canonical, so equality is syntactic.  Elements of QQ(m) print
-and sort as the pair (a, b) over QQ(s) with a + b*alpha they stand for.
+Each value is canonical, so equality is syntactic.  Elements of QQ(s) print
+and sort as the reduced fraction with a monic denominator, elements of
+QQ(m) as the pair (a, b) over QQ(s) with a + b*alpha they stand for; that
+form is rebuilt for display only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
 
 Rat = Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_ONE = (1,)
+_new = object.__new__
 
 
 def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -44,26 +51,15 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 class QPoly:
-    """Dense univariate polynomial over QQ (the coordinate is the pencil
-    parameter s).  Immutable; trailing zero coefficients are stripped."""
+    """Dense univariate polynomial in the field's parameter t (s or m) with
+    ``int`` or ``Fraction`` coefficients, low degree first.  Immutable;
+    trailing zero coefficients are stripped.  Inside a RatFunc both
+    polynomials have primitive integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]]):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "QPoly":
-        return QPoly([Fraction(c)])
-
-    @staticmethod
-    def var() -> "QPoly":
-        return QPoly([0, 1])
+        self.coeffs = _ztrim(list(coeffs))
 
     # -- structure ----------------------------------------------------
 
@@ -80,15 +76,7 @@ class QPoly:
         return self.coeffs[-1]
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
-
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def const_value(self) -> Fraction:
-        if len(self.coeffs) > 1:
-            raise ValueError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else _F0
+        return self.coeffs == _ONE
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -99,47 +87,28 @@ class QPoly:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return _qp(_zlin(1, self.coeffs, 1, other.coeffs))
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return _qp(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
+        return _qp(_zlin(1, self.coeffs, -1, other.coeffs))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly([])
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return QPoly(out)
-
-    def scale(self, c: Fraction) -> "QPoly":
-        if c == 0:
-            return QPoly([])
-        return QPoly([x * c for x in self.coeffs])
+        return _qp(_zmul(a, b) if a and b else ())
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPoly([]), self
-        quot = [_F0] * (dq + 1)
-        lead = other.coeffs[-1]
         ob = other.coeffs
+        dq = len(rem) - len(ob)
+        if dq < 0:
+            return QP_ZERO, self
+        quot = [_F0] * (dq + 1)
+        lead = Fraction(ob[-1])
         for k in range(dq, -1, -1):
             top = rem[k + len(ob) - 1]
             if top:
@@ -149,50 +118,35 @@ class QPoly:
                     rem[k + j] -= q * c
         return QPoly(quot), QPoly(rem)
 
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("exact division failed")
-        return q
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return QPoly([c / lead for c in self.coeffs])
-
     def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic gcd via the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The gcd in Z[t] of two polynomials with integer coefficients:
+        primitive, with a positive leading coefficient (gcd(0, 0) = 0).
 
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        Primitive pseudo-remainder sequence: a pseudo-remainder r of a by b
+        is c*a - h*b for a nonzero integer c, so gcd(a, b) = gcd(b, r) up to
+        a unit of QQ[t]; each remainder is replaced by its primitive part.
+        By Gauss's lemma the gcd of primitive polynomials in Z[t] is
+        primitive and is the gcd in QQ[t] up to a rational factor, so the
+        last nonzero remainder, made positive, is the gcd in both rings
+        (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E)."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _qp(_zprim(a)[1]) if a else QP_ZERO
+        a, b = _zprim(a)[1], _zprim(b)[1]
+        while len(b) > 1:
+            r = _zprem(a, b)
+            if not r:
+                return _qp(b)
+            a, b = b, _zprim(r)[1]
+        return QP_ONE
 
     def eval(self, x: Fraction) -> Fraction:
         acc = _F0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -221,155 +175,359 @@ class QPoly:
         return f"QPoly({self})"
 
 
-QP_ZERO = QPoly([])
-QP_ONE = QPoly([1])
+def _qp(coeffs: tuple) -> QPoly:
+    """A QPoly on an already trimmed coefficient tuple."""
+    p = _new(QPoly)
+    p.coeffs = coeffs
+    return p
+
+
+QP_ZERO = _qp(())
+QP_ONE = _qp(_ONE)
+
+
+# -- the kernel of QQ(t): integer coefficient tuples in Z[t] ---------------
+
+
+def _ztrim(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _zlin(k1, a: tuple, k2, b: tuple) -> tuple:
+    """k1*a + k2*b."""
+    if len(a) < len(b):
+        k1, a, k2, b = k2, b, k1, a
+    out = [k1 * x for x in a]
+    for i, y in enumerate(b):
+        out[i] += k2 * y
+    return _ztrim(out)
+
+
+def _zmul(a: tuple, b: tuple) -> tuple:
+    """a*b for a, b != 0."""
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _zprim(a: tuple) -> tuple[int, tuple]:
+    """(k, a/k) for a != 0: k is the content of a with the sign of its
+    leading coefficient, so a/k is primitive with a positive one."""
+    k = gcd(*a)
+    if a[-1] < 0:
+        k = -k
+    if k == 1:
+        return 1, a
+    return k, tuple(x // k for x in a)
+
+
+def _zquo(a: tuple, b: tuple) -> tuple:
+    """a/b for b primitive with a positive leading coefficient dividing a in
+    QQ[t]: by Gauss's lemma the quotient lies in Z[t], so every step divides
+    exactly by lc(b)."""
+    if len(b) == 1:
+        return a
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        if c:
+            q[k] = c
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return tuple(q)
+
+
+def _zprem(a: tuple, b: tuple) -> tuple:
+    """A pseudo-remainder of a by b, deg a >= deg b >= 1: c*a - h*b of
+    degree < deg b for an integer c != 0.  Each step scales by
+    lc(b)/gcd(lc(b), top) only, which keeps the integers small."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        if top:
+            g = gcd(top, lb)
+            u, v = lb // g, top // g
+            if u != 1:
+                r = [u * x for x in r]
+            for j in range(db):
+                r[k + j] -= v * b[j]
+    return _ztrim(r)
+
+
+def _zreflect(a: tuple) -> tuple:
+    """a(-t)."""
+    return tuple(-c if i % 2 else c for i, c in enumerate(a))
+
+
+def _zhomog(p: tuple, num: tuple, den: tuple) -> tuple:
+    """den^deg(p) * p(num/den) for p != 0 and num/den not constant."""
+    out, den_k = (p[-1],), _ONE
+    for c in reversed(p[:-1]):
+        den_k = _zmul(den_k, den)
+        out = _zlin(1, _zmul(out, num), c, den_k)
+    return out
+
+
+def _zclear(cs: tuple) -> tuple[Fraction, tuple]:
+    """(k, a) with cs = k*a and a an integer tuple, for int or Fraction
+    coefficients."""
+    den = lcm(*(c.denominator for c in cs))
+    return Fraction(1, den), tuple(c.numerator * (den // c.denominator) for c in cs)
 
 
 class RatFunc:
-    """Reduced fraction of QPoly with monic denominator.  Canonical form
-    makes equality and hashing syntactic."""
+    """An element c*P/Q of QQ(t), t the field's parameter, in the canonical
+    form of the module docstring: c a Fraction, P and Q primitive in Z[t]
+    with positive leading coefficients, gcd(P, Q) = 1; zero is c = 0,
+    P = 0, Q = 1.  Equality and hashing are syntactic.
 
-    __slots__ = ("num", "den")
+    Products and sums keep the form with Henrici's gcds (Knuth, TAOCP
+    vol. 2, 4.5.1), sound in QQ[t] and, by Gauss's lemma, in Z[t]:
 
-    def __init__(self, num: QPoly, den: QPoly = QP_ONE, reduce: bool = True):
+    * Gauss's lemma: a product of primitive polynomials is primitive, and a
+      quotient in QQ[t] of a polynomial in Z[t] by a primitive one lies in
+      Z[t].  So products of P's and Q's, and exact quotients by their
+      gcds, stay primitive integer polynomials, and the content of a sum
+      is taken once, by ``math.gcd``, into c.
+    * Product: with g1 = gcd(P1, Q2) and g2 = gcd(P2, Q1),
+      (P1/g1)(P2/g2) is coprime to (Q1/g2)(Q2/g1), since P_i is coprime
+      to Q_i.  With Q1 = Q2 = 1 this is one convolution.
+    * Sum: with d = gcd(Q1, Q2) and Q_i = d*Q_i', the numerator
+      T = c1*P1*Q2' + c2*P2*Q1' is coprime to Q1'*Q2' (it is c1*P1*Q2'
+      modulo Q1', a product of polynomials coprime to Q1'), so
+      e = gcd(T, d) is the only common factor: the sum is
+      (T/e) / (Q1' * Q2/e).  With d = 1, T/(Q1*Q2) is already reduced.
+    """
+
+    __slots__ = ("c", "p", "q")
+
+    def __init__(self, num: QPoly, den: QPoly = QP_ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if reduce and not den.is_one():
-            if num.is_zero():
-                den = QP_ONE
-            else:
-                g = num.gcd(den)
-                if not g.is_one():
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                lead = den.leading()
-                if lead != 1:
-                    num = num.scale(1 / lead)
-                    den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+        kn, n = _zclear(num.coeffs)
+        kd, d = _zclear(den.coeffs)
+        r = _reduced(kn / kd, n, d)
+        self.c, self.p, self.q = r.c, r.p, r.q
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(QPoly.const(c), QP_ONE, reduce=False)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        return _rf(c, QP_ONE, QP_ONE) if c else RF_ZERO
 
     @staticmethod
     def var() -> "RatFunc":
-        return RatFunc(QPoly.var(), QP_ONE, reduce=False)
+        return _rf(_F1, _qp((0, 1)), QP_ONE)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.c
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_one()
+        return len(self.p.coeffs) <= 1 and len(self.q.coeffs) == 1
 
     def const_value(self) -> Fraction:
-        if not self.den.is_one():
+        if not self.is_const():
             raise ValueError("not a constant")
-        return self.num.const_value()
+        return self.c
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
+            and self.c == other.c
+            and self.p.coeffs == other.p.coeffs
+            and self.q.coeffs == other.q.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.c, self.p.coeffs, self.q.coeffs))
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num + other.num, QP_ONE, reduce=False)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        c1, c2 = self.c, other.c
+        if not c2:
+            return self
+        if not c1:
+            return other
+        n1, n2, den = c1.numerator, c2.numerator, c1.denominator
+        d2 = c2.denominator
+        if den != d2:
+            g = gcd(den, d2)
+            n1, n2, den = n1 * (d2 // g), n2 * (den // g), den // g * d2
+        p1, q1, p2, q2 = self.p.coeffs, self.q.coeffs, other.p.coeffs, other.q.coeffs
+        if len(q1) == 1 and len(q2) == 1:
+            return _with_content(_zlin(n1, p1, n2, p2), den, QP_ONE)
+        d = self.q.gcd(other.q).coeffs if len(q1) > 1 and len(q2) > 1 else _ONE
+        if d == _ONE:
+            t = _zlin(n1, _zmul(p1, q2), n2, _zmul(p2, q1))
+            return _with_content(t, den, _qp(_zmul(q1, q2)))
+        q1r, q2r = _zquo(q1, d), _zquo(q2, d)
+        t = _zlin(n1, _zmul(p1, q2r), n2, _zmul(p2, q1r))
+        if not t:
+            return RF_ZERO
+        k, t = _zprim(t)
+        e = _qp(t).gcd(_qp(d)).coeffs if len(t) > 1 else _ONE
+        return _rf(Fraction(k, den), _qp(_zquo(t, e)), _qp(_zmul(q1r, _zquo(q2, e))))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
+        return _rf(-self.c, self.p, self.q)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
+        return self + _rf(-other.c, other.p, other.q)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num, QP_ONE, reduce=False)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        c = self.c * other.c
+        if not c:
+            return RF_ZERO
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        if len(q1.coeffs) == 1 and len(q2.coeffs) == 1:
+            return _rf(c, _qp(_zmul(p1.coeffs, p2.coeffs)), QP_ONE)
+        g1 = p1.gcd(q2).coeffs if len(p1.coeffs) > 1 and len(q2.coeffs) > 1 else _ONE
+        g2 = p2.gcd(q1).coeffs if len(p2.coeffs) > 1 and len(q1.coeffs) > 1 else _ONE
+        num = _zmul(_zquo(p1.coeffs, g1), _zquo(p2.coeffs, g2))
+        den = _zmul(_zquo(q1.coeffs, g2), _zquo(q2.coeffs, g1))
+        return _rf(c, _qp(num), _qp(den))
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        if not self.c:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return _rf(1 / self.c, self.q, self.p)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inv()
 
-    def eval(self, s0: Fraction) -> Fraction:
-        d = self.den.eval(s0)
-        if d == 0:
+    def eval(self, x):
+        """The value at t = x, for x a rational or an element of a field
+        without parameter; ZeroDivisionError at a pole."""
+        hp = hq = x.field.zero if isinstance(x, FieldElement) else _F0
+        for a in reversed(self.p.coeffs):
+            hp = hp * x + self.c * a
+        for a in reversed(self.q.coeffs):
+            hq = hq * x + a
+        if hq == 0:
             raise ZeroDivisionError("pole at specialization")
-        return self.num.eval(s0) / d
+        return hp / hq
+
+    def reflect(self) -> "RatFunc":
+        """r(-t).  The reflection is a ring automorphism, so P(-t) and Q(-t)
+        stay primitive and coprime; only the signs of odd-degree leading
+        coefficients move into c."""
+        if not self.c:
+            return self
+        p, q = _zreflect(self.p.coeffs), _zreflect(self.q.coeffs)
+        c = self.c
+        if p[-1] < 0:
+            c, p = -c, tuple(-a for a in p)
+        if q[-1] < 0:
+            c, q = -c, tuple(-a for a in q)
+        return _rf(c, _qp(p), _qp(q))
+
+    @property
+    def num(self) -> QPoly:
+        """Numerator of the reduced form with a monic denominator (for
+        display: str and sort keys)."""
+        c = self.c / self.q.coeffs[-1]
+        return _qp(tuple(c * a for a in self.p.coeffs))
+
+    @property
+    def den(self) -> QPoly:
+        """The monic denominator (for display)."""
+        lq = self.q.coeffs[-1]
+        return _qp(tuple(Fraction(a, lq) for a in self.q.coeffs))
+
+    def monic_numerator(self) -> QPoly:
+        """P/lc(P): the numerator up to a rational factor, made monic."""
+        lp = self.p.coeffs[-1]
+        return _qp(tuple(Fraction(a, lp) for a in self.p.coeffs))
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        ns = str(self.num)
-        if self.num.degree() > 0:
+        num, den = self.num, self.den
+        if den.is_one():
+            return str(num)
+        ns = str(num)
+        if num.degree() > 0:
             ns = f"({ns})"
-        return f"{ns}/({self.den})"
+        return f"{ns}/({den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
 
 
-RF_ZERO = RatFunc(QP_ZERO, QP_ONE, reduce=False)
-RF_ONE = RatFunc(QP_ONE, QP_ONE, reduce=False)
+def _rf(c: Fraction, p: QPoly, q: QPoly) -> RatFunc:
+    """The RatFunc c*p/q of parts already in canonical form."""
+    r = _new(RatFunc)
+    r.c, r.p, r.q = c, p, q
+    return r
 
 
-def _homogenize(p: QPoly, num: QPoly, den: QPoly) -> QPoly:
-    """den^deg(p) * p(num/den) for p != 0."""
-    cs = p.coeffs
-    out, den_k = QPoly([cs[-1]]), QP_ONE
-    for c in reversed(cs[:-1]):
-        den_k = den_k * den
-        out = out * num + den_k.scale(c)
-    return out
+RF_ZERO = _rf(_F0, QP_ZERO, QP_ONE)
+RF_ONE = _rf(_F1, QP_ONE, QP_ONE)
 
 
-def _substitute(p: QPoly, q: QPoly, num: QPoly, den: QPoly) -> RatFunc:
-    """p(t)/q(t) at t = num/den, reduced."""
-    if p.is_zero():
+def _with_content(t: tuple, den: int, q: QPoly) -> RatFunc:
+    """t/(den*q) for t coprime to q in QQ[t] and an integer den > 0."""
+    if not t:
         return RF_ZERO
-    k = q.degree() - p.degree()
-    hp, hq = _homogenize(p, num, den), _homogenize(q, num, den)
-    if k >= 0:
-        return RatFunc(hp * den ** k, hq)
-    return RatFunc(hp, hq * den ** -k)
+    k, t = _zprim(t)
+    return _rf(Fraction(k, den), _qp(t), q)
 
 
-def _reflect(p: QPoly) -> QPoly:
-    """p(-m)."""
-    return QPoly([-c if i % 2 else c for i, c in enumerate(p.coeffs)])
+def _reduced(c: Fraction, n: tuple, d: tuple) -> RatFunc:
+    """c*n/d for integer tuples n, d with d != 0, in canonical form."""
+    if not c or not n:
+        return RF_ZERO
+    kn, n = _zprim(n)
+    kd, d = _zprim(d)
+    g = _qp(n).gcd(_qp(d)).coeffs if len(n) > 1 and len(d) > 1 else _ONE
+    return _rf(c * kn / kd, _qp(_zquo(n, g)), _qp(_zquo(d, g)))
 
 
-_S_VAR = QPoly.var()
-_ONE_MINUS_M2 = QPoly([1, 0, -1])
+def _substitute(c: Fraction, p: tuple, q: tuple, num: tuple, den: tuple) -> RatFunc:
+    """c*p(t)/q(t) at t = num/den, for integer tuples and num/den not
+    constant, reduced."""
+    if not p:
+        return RF_ZERO
+    k = len(q) - len(p)
+    hp, hq = _zhomog(p, num, den), _zhomog(q, num, den)
+    for _ in range(k):
+        hp = _zmul(hp, den)
+    for _ in range(-k):
+        hq = _zmul(hq, den)
+    return _reduced(c, hp, hq)
+
+
+_ONE_MINUS_M2 = (1, 0, -1)
+#: s = 1/(1 - m^2) and alpha = m/(1 - m^2) in QQ(m).
+_M_S = RatFunc(QP_ONE, _qp(_ONE_MINUS_M2))
+_M_ALPHA = RatFunc(_qp((0, 1)), _qp(_ONE_MINUS_M2))
 
 
 def _s_to_m(r: RatFunc) -> RatFunc:
     """r(s) as an element of QQ(m): s = 1/(1 - m^2)."""
-    return _substitute(r.num, r.den, QP_ONE, _ONE_MINUS_M2)
+    return _substitute(r.c, r.p.coeffs, r.q.coeffs, _ONE, _ONE_MINUS_M2)
 
 
 def _m_to_s(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """The pair (a, b) of QQ(s) with r(m) = a + b*alpha: with an even
-    denominator N(m)D(-m) / (D(m)D(-m)) and the numerator split as
-    E(m^2) + m*O(m^2), a = E(m^2)/D2(m^2) and b = O(m^2)/(s*D2(m^2)), since
-    m^2 = (s - 1)/s and m = alpha/s."""
-    d_neg = _reflect(r.den)
-    num, den = (r.num * d_neg).coeffs, (r.den * d_neg).coeffs
-    t_num, den2 = QPoly([-1, 1]), QPoly(den[0::2])
-    a = _substitute(QPoly(num[0::2]), den2, t_num, _S_VAR)
-    b = _substitute(QPoly(num[1::2]), den2, t_num, _S_VAR)
-    return a, b * RatFunc(QP_ONE, _S_VAR)
+    denominator P(m)Q(-m) / (Q(m)Q(-m)) and the numerator split as
+    E(m^2) + m*O(m^2), a = c*E(m^2)/D2(m^2) and b = c*O(m^2)/(s*D2(m^2)),
+    since m^2 = (s - 1)/s and m = alpha/s."""
+    q_neg = _zreflect(r.q.coeffs)
+    num, den = _zmul(r.p.coeffs, q_neg), _zmul(r.q.coeffs, q_neg)
+    t_num, s, den2 = (-1, 1), (0, 1), den[0::2]
+    a = _substitute(r.c, _ztrim(list(num[0::2])), den2, t_num, s)
+    b = _substitute(r.c, _ztrim(list(num[1::2])), den2, t_num, s)
+    return a, b * _rf(_F1, QP_ONE, _qp(s))
 
 
 # What a FieldElement's value is, fixed by its field (see the module
@@ -454,12 +612,12 @@ class Field:
         if self.param == "s":
             return FieldElement(self, RatFunc.var())
         if self.param == "m":
-            return FieldElement(self, RatFunc(QP_ONE, _ONE_MINUS_M2))
+            return FieldElement(self, _M_S)
         raise ValueError("field has no parameter s")
 
     def alpha(self) -> "FieldElement":
         if self.param == "m":
-            return FieldElement(self, RatFunc(QPoly.var(), _ONE_MINUS_M2))
+            return FieldElement(self, _M_ALPHA)
         if self.kind is not _QUAD:
             raise ValueError("field has no alpha")
         return FieldElement(self, (_F0, _F1))
@@ -498,7 +656,7 @@ class FieldElement:
         if kind is _RAT:
             return not v
         if kind is _FUNC:
-            return not v.num.coeffs
+            return not v.c
         return not v[0] and not v[1]
 
     def is_one(self) -> bool:
@@ -604,7 +762,7 @@ class FieldElement:
         if f.kind is _QUAD:
             return FieldElement(f, (v[0], -v[1]))
         if f.param == "m":
-            return FieldElement(f, RatFunc(_reflect(v.num), _reflect(v.den)))
+            return FieldElement(f, v.reflect())
         return self
 
     def _in_s(self) -> tuple[RatFunc, RatFunc]:

@@ -529,14 +529,7 @@ def specialize_field(field: Field, s0: Fraction, alpha0: Optional[Fraction] = No
         raise ValueError("alpha^2 specializes to a square; provide an explicit alpha value")
     target = quadratic_field(d)
     m0 = target.alpha() * (1 / s0)
-
-    def at_m0(p) -> FieldElement:
-        acc = target.zero
-        for c in reversed(p.coeffs):
-            acc = acc * m0 + c
-        return acc
-
-    return target, lambda x: at_m0(x.v.num) / at_m0(x.v.den)
+    return target, lambda x: x.v.eval(m0)
 
 
 def specialize(obj, s0, alpha0: Optional[Fraction] = None):

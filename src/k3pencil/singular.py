@@ -370,8 +370,8 @@ def _bad_parameter_values(const_poly: MPoly) -> Optional[str]:
     """Numerator of a constant-in-the-variables eliminant over QQ(s); its
     roots are the parameter values where genericity may fail."""
     c = const_poly.const_coeff()
-    if c.field.param == "s" and (c.v.num.degree() > 0 or c.v.den.degree() > 0):
-        return str(c.v.num.monic())
+    if c.field.param == "s" and not c.v.is_const():
+        return str(c.v.monic_numerator())
     return None
 
 

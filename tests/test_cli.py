@@ -224,6 +224,14 @@ def test_rejects_unknown_option_value(argv, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["-1", "-50", "x"])
+def test_series_rejects_a_negative_or_malformed_order(n, capsys):
+    assert main(["series", "--op", "apery", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "argument --n: expected a non-negative integer" in captured.err
+
+
 @pytest.mark.parametrize("s_value", ["1", "-1"])
 def test_no_check_ran_exits_1(s_value, capsys):
     # the special fibres' line tables are data only: the report is written,

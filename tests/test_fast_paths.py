@@ -19,7 +19,11 @@ against the exact path it replaces or the known answer.
   through points of plane cubics over QQ and QQ(sqrt 2), lines that are
   components of a reducible cubic included;
 * the generator test of disc_forms_isomorphic vs a search over all
-  elements and all pairs, on discriminant forms of small even lattices.
+  elements and all pairs, on discriminant forms of small even lattices;
+* the QQ(t) kernel (c*P/Q over Z[t], Henrici's gcds) vs the test-local
+  Fraction-coefficient FracRatFunc reduced by Euclid on every operation:
+  arithmetic, evaluation, conjugation, the QQ(s) -> QQ(m) coercion, str,
+  sort keys and hashes.
 """
 
 from fractions import Fraction
@@ -619,3 +623,274 @@ def test_exact_path_decides_a_form_even_at_the_place():
     form = (X - Y * S) * (X - Y * CONTACT_PLACE[0]) * q * q * U
     assert not _odd_at_place(form, "y")
     assert _exact_contact(form) == (False, None, None)
+
+
+# -- the QQ(t) kernel: c*P/Q over Z[t] -----------------------------------------
+
+
+class FracPoly:
+    """Dense polynomial over QQ with Fraction coefficients: the earlier
+    representation of QQ[t], kept as the oracle of the integer kernel."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_one(self):
+        return self.coeffs == (1,)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        return FracPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+    def __neg__(self):
+        return FracPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FracPoly(out)
+
+    def scale(self, c):
+        return FracPoly([x * c for x in self.coeffs])
+
+    def divmod(self, other):
+        rem, ob = list(self.coeffs), other.coeffs
+        quot = [Fraction(0)] * max(len(rem) - len(ob) + 1, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            q = rem[k + len(ob) - 1] / ob[-1]
+            quot[k] = q
+            for j, c in enumerate(ob):
+                rem[k + j] -= q * c
+        return FracPoly(quot), FracPoly(rem)
+
+    def monic(self):
+        return self.scale(1 / self.coeffs[-1])
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __str__(self):
+        return str(QPoly(self.coeffs))
+
+
+FP_ONE = FracPoly([1])
+
+
+class FracRatFunc:
+    """Reduced quotient of FracPolys with a monic denominator, reduced by the
+    Euclidean gcd over QQ on every operation: the earlier QQ(t)."""
+
+    def __init__(self, num, den=FP_ONE):
+        if num.is_zero():
+            den = FP_ONE
+        else:
+            g = num.gcd(den)
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+            lead = den.coeffs[-1]
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        self.num, self.den = num, den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __eq__(self, other):
+        return self.num == other.num and self.den == other.den
+
+    def __add__(self, other):
+        return FracRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return FracRatFunc(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FracRatFunc(self.num * other.num, self.den * other.den)
+
+    def inv(self):
+        return FracRatFunc(self.den, self.num)
+
+    def eval(self, x):
+        d = self.den.eval(x)
+        if d == 0:
+            raise ZeroDivisionError("pole")
+        return self.num.eval(x) / d
+
+    def __str__(self):
+        if self.den.is_one():
+            return str(self.num)
+        ns = f"({self.num})" if self.num.degree() > 0 else str(self.num)
+        return f"{ns}/({self.den})"
+
+
+def _frac_homogenize(p, num, den):
+    """den^deg(p) * p(num/den)."""
+    out, den_k = FracPoly([p.coeffs[-1]]), FP_ONE
+    for c in reversed(p.coeffs[:-1]):
+        den_k = den_k * den
+        out = out * num + den_k.scale(c)
+    return out
+
+
+def _frac_substitute(p, q, num, den):
+    """p(t)/q(t) at t = num/den."""
+    if p.is_zero():
+        return FracRatFunc(p)
+    hp, hq = _frac_homogenize(p, num, den), _frac_homogenize(q, num, den)
+    for _ in range(q.degree() - p.degree()):
+        hp = hp * den
+    for _ in range(p.degree() - q.degree()):
+        hq = hq * den
+    return FracRatFunc(hp, hq)
+
+
+def _frac_reflect(p):
+    return FracPoly([-c if i % 2 else c for i, c in enumerate(p.coeffs)])
+
+
+def _frac_s_to_m(r):
+    return _frac_substitute(r.num, r.den, FP_ONE, FracPoly([1, 0, -1]))
+
+
+def _frac_m_to_s(r):
+    """(a, b) over QQ(s) with r(m) = a + b*alpha, m^2 = (s - 1)/s, m = alpha/s."""
+    d_neg = _frac_reflect(r.den)
+    num, den = (r.num * d_neg).coeffs, (r.den * d_neg).coeffs
+    t, s, den2 = FracPoly([-1, 1]), FracPoly([0, 1]), FracPoly(den[0::2])
+    a = _frac_substitute(FracPoly(num[0::2]), den2, t, s)
+    b = _frac_substitute(FracPoly(num[1::2]), den2, t, s)
+    return a, b * FracRatFunc(FP_ONE, s)
+
+
+def _frac_key_and_str(a, b):
+    """FieldElement.sort_key and str of a + b*alpha, a and b FracRatFuncs."""
+    key = (a.num.coeffs, a.den.coeffs, b.num.coeffs, b.den.coeffs)
+    if b.is_zero():
+        return key, str(a)
+    if a.is_zero():
+        return key, "alpha" if b == FracRatFunc(FP_ONE) else f"({b})*alpha"
+    return key, f"{a} + ({b})*alpha"
+
+
+def _assert_kernel_matches(new: RatFunc, old: FracRatFunc):
+    # the same reduced fraction, printed alike; equal values are one canonical
+    # form, so rebuilding from the oracle's form is syntactically equal
+    assert new.num.coeffs == old.num.coeffs and new.den.coeffs == old.den.coeffs
+    assert str(new) == str(old)
+    rebuilt = RatFunc(QPoly(old.num.coeffs), QPoly(old.den.coeffs))
+    assert new == rebuilt and hash(new) == hash(rebuilt)
+    x = QS.from_ratfunc(new)
+    assert (x.sort_key(), str(x)) == _frac_key_and_str(old, FracRatFunc(FracPoly([])))
+    if len(old.num.coeffs) <= 1 and old.den.is_one():
+        c = old.num.coeffs[0] if old.num.coeffs else Fraction(0)
+        assert x == c and hash(x) == hash(c)
+
+
+def _both(num, den):
+    return RatFunc(QPoly(num), QPoly(den)), FracRatFunc(FracPoly(num), FracPoly(den))
+
+
+kernel_coeff = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(1, 4)))
+kernel_poly = st.lists(kernel_coeff, max_size=4)
+kernel_den = st.lists(kernel_coeff, min_size=1, max_size=3).filter(any)
+ONE_MINUS_T2 = FracPoly([1, 0, -1])
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two elements of QQ(t) as (num, den) coefficient lists: independent,
+    with equal denominators, one denominator dividing the other, with powers
+    of (1 - t^2) as denominators, or summing to 0 or to a constant."""
+    kind = draw(st.sampled_from(["any", "equal", "dividing", "one_minus_t2", "cancel"]))
+    n1, d1, n2, d2 = draw(kernel_poly), draw(kernel_den), draw(kernel_poly), draw(kernel_den)
+    if kind == "equal":
+        d2 = d1
+    elif kind == "dividing":
+        d2 = (FracPoly(d1) * FracPoly(d2)).coeffs
+    elif kind == "one_minus_t2":
+        p1, p2 = FP_ONE, FP_ONE
+        for _ in range(draw(st.integers(0, 3))):
+            p1 = p1 * ONE_MINUS_T2
+        for _ in range(draw(st.integers(0, 3))):
+            p2 = p2 * ONE_MINUS_T2
+        d1, d2 = (p1 * FracPoly(d1)).coeffs, p2.coeffs
+    elif kind == "cancel":
+        # y = c - x
+        c = draw(st.one_of(st.just(Fraction(0)), kernel_coeff))
+        y = FracRatFunc(FracPoly([c])) - FracRatFunc(FracPoly(n1), FracPoly(d1))
+        n2, d2 = y.num.coeffs, y.den.coeffs
+    return (n1, d1), (n2, d2)
+
+
+KERNEL_POINTS = [Fraction(k) for k in (0, 1, -1, 2)] + [Fraction(-1, 2), Fraction(3, 4)]
+
+
+@SETTINGS
+@given(kernel_operands())
+@example((([1], [1, 0, -1]), ([0, 1], [1, 0, -1])))
+@example((([0, 2], [0, 0, 4]), ([-3], [-2, -1])))
+@example((([1, 1], [-1, 0, 1]), ([-1, -1], [-1, 0, 1])))
+def test_integer_ratfunc_kernel_matches_fraction_euclid(pair):
+    (x, ox), (y, oy) = _both(*pair[0]), _both(*pair[1])
+    for new, old in ((x, ox), (y, oy)):
+        _assert_kernel_matches(new, old)
+    _assert_kernel_matches(x + y, ox + oy)
+    _assert_kernel_matches(x - y, ox - oy)
+    _assert_kernel_matches(y - x, oy - ox)
+    _assert_kernel_matches(x * y, ox * oy)
+    _assert_kernel_matches(-x, -ox)
+    if not y.is_zero():
+        _assert_kernel_matches(y.inv(), oy.inv())
+        _assert_kernel_matches(x / y, ox * oy.inv())
+    # evaluation at rationals, poles included, and at m0 = alpha/2 of QQ(sqrt 2)
+    for t0 in KERNEL_POINTS:
+        try:
+            expected = ox.eval(t0)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                x.eval(t0)
+        else:
+            assert x.eval(t0) == expected
+    K = quadratic_field(2)
+    m0 = K.alpha() * Fraction(1, 2)
+
+    def horner(p):
+        acc = K.zero
+        for c in reversed(p.coeffs):
+            acc = acc * m0 + c
+        return acc
+
+    assert x.eval(m0) == horner(ox.num) / horner(ox.den)
+    # QQ(s) -> QQ(m) by s = 1/(1 - m^2); conjugation m -> -m; the pair (a, b)
+    # over QQ(s) that an element of QQ(m) prints and sorts as
+    xm = QSA.coerce(QS.from_ratfunc(x))
+    oxm = _frac_s_to_m(ox)
+    _assert_kernel_matches(xm.v, oxm)
+    for elem, old in ((xm, oxm), (QSA.from_ratfunc(x), ox)):
+        _assert_kernel_matches(elem.conjugate().v, FracRatFunc(_frac_reflect(old.num), _frac_reflect(old.den)))
+        assert (elem.sort_key(), str(elem)) == _frac_key_and_str(*_frac_m_to_s(old))

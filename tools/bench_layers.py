@@ -15,8 +15,9 @@ stops the script, so only passing reports are timed.  Reported per side:
 * ``check_runtime_ms``: the median over the runs of each check's
   ``runtime_ms`` in that report;
 * ``coefficient_us``: microseconds per FieldElement mul/add/sub/inv over
-  QQ, QQ(sqrt(2)), QQ(s) and QQ(m) (the best of five timeit repeats), built
-  only through the public constructors, so any two versions compare;
+  QQ, QQ(sqrt(2)), QQ(s) and QQ(m), and over QQ(m) on a pair whose
+  denominators are powers of 1 - m^2 (the best of five timeit repeats),
+  built only through the public constructors, so any two versions compare;
 * ``lattice_us``: microseconds per ``rank_int``, ``rank_signature`` and
   ``smith_normal_form`` on the Gram matrix of the first surviving sheet
   assignment of the generic fibre (23 x 23, rank 19), and per
@@ -41,7 +42,7 @@ import time
 import timeit
 
 RUNS = 3
-FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)")
+FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_int", "rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 
@@ -63,11 +64,15 @@ def coefficient_micro() -> dict:
     K = quadratic_field(2)
     s = QS.s()
     xs, ys = (s * s - 3 * s + 2) / (s + 5), (2 * s - 1) / (s * s + 1)
+    sm, am = QSA.s(), QSA.alpha()
     pairs = {
         "QQ": (QQ.from_rat(F(3, 7)), QQ.from_rat(F(-5, 11))),
         "QQ(sqrt(2))": (K.from_rat(F(3, 7)) + K.alpha() * F(2, 5), K.from_rat(F(-5, 11)) + K.alpha() * F(1, 3)),
         "QQ(s)": (xs, ys),
         "QQ(m)": (QSA.coerce(xs) + QSA.alpha() * 3, QSA.coerce(ys) - QSA.alpha()),
+        # denominators (1 - m^2)^3 and (1 - m^2)^4, the common shape of
+        # QQ(m) operands in the generic fibre: s = 1/(1 - m^2)
+        "QQ(m) (1-m^2)^k": (sm * sm * (sm * 3 - am * 2 + 1), sm * sm * sm * (am - 5)),
     }
     out = {}
     for name in FIELDS:
