@@ -99,25 +99,6 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         return _qp(_zmul(a, b) if a and b else ())
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        ob = other.coeffs
-        dq = len(rem) - len(ob)
-        if dq < 0:
-            return QP_ZERO, self
-        quot = [_F0] * (dq + 1)
-        lead = Fraction(ob[-1])
-        for k in range(dq, -1, -1):
-            top = rem[k + len(ob) - 1]
-            if top:
-                q = top / lead
-                quot[k] = q
-                for j, c in enumerate(ob):
-                    rem[k + j] -= q * c
-        return QPoly(quot), QPoly(rem)
-
     def gcd(self, other: "QPoly") -> "QPoly":
         """The gcd in Z[t] of two polynomials with integer coefficients:
         primitive, with a positive leading coefficient (gcd(0, 0) = 0).
@@ -231,20 +212,26 @@ def _zprim(a: tuple) -> tuple[int, tuple]:
 
 
 def _zquo(a: tuple, b: tuple) -> tuple:
-    """a/b for b primitive with a positive leading coefficient dividing a in
-    QQ[t]: by Gauss's lemma the quotient lies in Z[t], so every step divides
-    exactly by lc(b)."""
-    if len(b) == 1:
+    """a/b in Z[t] for b != 0; ValueError unless b divides a there.  Every
+    caller divides exactly: in RatFunc b is a primitive gcd dividing a in
+    QQ[t], so the quotient is in Z[t] by Gauss's lemma; in
+    polyops._bareiss_det_int b is the previous pivot, not primitive, and
+    divides by Sylvester's determinant identity."""
+    if b == _ONE:
         return a
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] // lb
+        c, e = divmod(r[k + db], lb)
+        if e:
+            raise ValueError("inexact division in Z[t]")
         if c:
             q[k] = c
             for j in range(db):
                 r[k + j] -= c * b[j]
+    if any(r[:db]):
+        raise ValueError("inexact division in Z[t]")
     return tuple(q)
 
 

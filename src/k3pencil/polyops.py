@@ -1,14 +1,26 @@
 """Polynomial algorithms over the tower fields: univariate gcd, squarefree
 decomposition (Yun), Sylvester resultants with fraction-free elimination,
-rational substitution, and specialization of the pencil parameter."""
+rational substitution, and specialization of the pencil parameter.
+
+The ring each routine runs on:
+
+* gcd_poly, squarefree_decomposition: gcds over QQ by the primitive PRS
+  in Z[x] (QPoly.gcd); over QQ(s) and QQ(m) a coprimality certificate over
+  QQ, else Euclid on FieldElement lists, as over QQ(sqrt(d)); quotients
+  on FieldElement lists.
+* resultant: over QQ in at most one further variable y, Bareiss in Z[y]
+  on the int tuples of field.py; otherwise, QQ(s) included, on MPoly.
+* gcd_bivariate, substitute, specialize: MPoly and FieldElement
+  arithmetic.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .field import QQ, Field, FieldElement, _fraction_sqrt, quadratic_field
+from .field import QQ, Field, FieldElement, QPoly, _fraction_sqrt, quadratic_field
+from .field import _ONE, _zclear, _zlin, _zmul, _zquo
 from .mpoly import MPoly
 
 # ---------------------------------------------------------------------------
@@ -42,6 +54,13 @@ def _dense_divmod(a: list, b: list, field: Field) -> tuple[list, list]:
 
 
 def _dense_gcd(a: list, b: list, field: Field) -> list:
+    """Monic gcd of dense polynomials over the field ([] for two zeros).
+    Over QQ it is QPoly.gcd, the primitive PRS in Z[x], of the polynomials
+    with cleared denominators, made monic: by Gauss's lemma that is the gcd
+    in QQ[x] up to a rational factor.  Other fields run Euclid."""
+    if field == QQ:
+        g = QPoly(_zclear(tuple(c.v for c in a))[1]).gcd(QPoly(_zclear(tuple(c.v for c in b))[1]))
+        return [QQ.from_rat(Fraction(c, g.coeffs[-1])) for c in g.coeffs]
     while b:
         a, b = b, _dense_divmod(a, b, field)[1]
     if a:
@@ -143,15 +162,14 @@ def squarefree_decomposition(p: MPoly) -> list[tuple[MPoly, int]]:
         return [(MPoly.from_dense(field, p.vars, var, a), 1)]
     c = _dense_divmod(a, g, field)[0]
     d_ = _dense_divmod(dp, g, field)[0]
-    d = _trim([x - y for x, y in _zip_pad(d_, deriv(c), field)])
     i = 1
     while len(c) > 1:
+        d = _trim([x - y for x, y in _zip_pad(d_, deriv(c), field)])
         f = _dense_gcd(c, d, field)
         if len(f) > 1:
             out.append((MPoly.from_dense(field, p.vars, var, f), i))
         c = _dense_divmod(c, f, field)[0]
         d_ = _dense_divmod(d, f, field)[0]
-        d = _trim([x - y for x, y in _zip_pad(d_, deriv(c), field)])
         i += 1
     return out
 
@@ -172,8 +190,9 @@ def squarefree_unit(p: MPoly) -> FieldElement:
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Resultant with respect to var: the Sylvester determinant, computed by
     fraction-free (Bareiss) elimination over the remaining-variable ring.
-    When the coefficients involve at most one further variable the entries
-    are handled as dense coefficient lists, which is much faster."""
+    Over QQ with at most one further variable y the entries are Z[y] tuples
+    (_resultant_dense), which is much faster; every other case runs the
+    MPoly Bareiss _bareiss_det."""
     if p.field != q.field:
         if p.field.contains(q.field):
             q = q.to_field(p.field)
@@ -191,7 +210,7 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
             for i, k in enumerate(e):
                 if k and poly.vars[i] != var:
                     other.add(poly.vars[i])
-    if len(other) <= 1:
+    if p.field == QQ and len(other) <= 1:
         return _resultant_dense(p, q, var, other.pop() if other else None)
     zero = MPoly.zero(p.field, p.vars)
     pc, qc = p.coeffs_in(var), q.coeffs_in(var)
@@ -217,130 +236,67 @@ def _sylvester_rows(pc: list, qc: list, empty) -> list[list]:
 
 
 def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPoly:
-    """Sylvester determinant with entries stored as dense coefficient lists
-    in the single remaining variable.
-
-    Over QQ the matrix is made integral row by row: each row is multiplied
-    by the lcm of its entries' denominators (the same for all rows built
-    from one polynomial), Bareiss runs on plain int lists, and the
-    determinant is divided by the product of the row scales, since scaling a
-    row scales the determinant.  Other fields keep FieldElement entries."""
-    field = p.field
+    """Sylvester determinant over QQ with at most one further variable y,
+    entries in Z[y]: each polynomial is cleared by the lcm L of its
+    denominators, which scales each of its rows by L, so the integer
+    determinant is divided by Lp^n * Lq^m."""
     iv = p.vars.index(var)
     io = p.vars.index(other) if other else None
 
-    def entries(poly: MPoly) -> list[list]:
+    def entries(poly: MPoly) -> tuple[list[tuple], int]:
+        k, ints = _zclear(tuple(c.v for c in poly.terms.values()))
         out: list[list] = [[] for _ in range(poly.degree_in(var) + 1)]
-        for e, c in poly.terms.items():
+        for e, c in zip(poly.terms, ints):
             ent = out[e[iv]]
             d = e[io] if io is not None else 0
-            ent.extend([field.zero] * (d + 1 - len(ent)))
+            ent.extend([0] * (d + 1 - len(ent)))
             ent[d] = c
-        return out
+        return [tuple(ent) for ent in out], k.denominator
 
-    p_ent, q_ent = entries(p), entries(q)
-    m, n = len(p_ent) - 1, len(q_ent) - 1
-    if field == QQ:
-        p_int, p_scale = _integral_entries(p_ent)
-        q_int, q_scale = _integral_entries(q_ent)
-        det = _bareiss_det_int(_sylvester_rows(p_int, q_int, []))
-        scale = p_scale ** n * q_scale ** m
-        coeffs = [field.from_rat(Fraction(c, scale)) for c in det]
-    else:
-        coeffs = _bareiss_det_dense(_sylvester_rows(p_ent, q_ent, []), field.zero)
+    (p_int, p_scale), (q_int, q_scale) = entries(p), entries(q)
+    m, n = len(p_int) - 1, len(q_int) - 1
+    det = _bareiss_det_int(_sylvester_rows(p_int, q_int, ()))
+    scale = p_scale ** n * q_scale ** m
     terms = {}
-    for d, c in enumerate(coeffs):
-        if not c.is_zero():
+    for d, c in enumerate(det):
+        if c:
             e = [0] * len(p.vars)
             if io is not None:
                 e[io] = d
-            terms[tuple(e)] = c
-    return MPoly(field, p.vars, terms)
+            terms[tuple(e)] = QQ.from_rat(Fraction(c, scale))
+    return MPoly(QQ, p.vars, terms)
 
 
-def _integral_entries(ents: list[list[FieldElement]]) -> tuple[list[list[int]], int]:
-    """Rational entries (dense lists over QQ) times the lcm L of all their
-    denominators, as int lists; returns them with L."""
-    fracs = [[c.v for c in ent] for ent in ents]
-    scale = 1
-    for ent in fracs:
-        for c in ent:
-            scale = lcm(scale, c.denominator)
-    return [[c.numerator * (scale // c.denominator) for c in ent] for ent in fracs], scale
-
-
-def _il_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _il_sub_trim(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _il_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a / b in Z[y]; ValueError unless b divides a exactly."""
-    rem = list(a)
-    db, dq = len(b) - 1, len(a) - len(b)
-    if dq < 0:
-        if rem:
-            raise ValueError("dense exact division failed")
-        return []
-    lead = b[-1]
-    quot = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        top = rem[k + db]
-        if top:
-            qc, r = divmod(top, lead)
-            if r:
-                raise ValueError("dense exact division failed")
-            quot[k] = qc
-            for j, c in enumerate(b):
-                rem[k + j] -= qc * c
-    if any(rem):
-        raise ValueError("dense exact division failed")
-    return quot
-
-
-def _bareiss_det_int(m: list[list[list[int]]]) -> list[int]:
-    """Bareiss determinant of a matrix over Z[y], entries as dense int lists
-    (low -> high, trimmed).  Every division is exact in Z[y] (Bareiss 1968)."""
+def _bareiss_det_int(m: list[list[tuple]]) -> tuple:
+    """Bareiss determinant of a square matrix over Z[y], entries as trimmed
+    int tuples low -> high (the kernel of field.py).  Step k replaces a_ij
+    by (a_ij*a_kk - a_ik*a_kj)/p, p the previous pivot (1 at first).  By
+    Sylvester's determinant identity the result is a minor of the matrix, in
+    Z[y], so the division is exact (Bareiss 1968); _zquo raises otherwise."""
     n = len(m)
     if n == 0:
-        return [1]
+        return _ONE
     m = [list(row) for row in m]
     sign = 1
-    prev = [1]
+    prev = _ONE
     for k in range(n - 1):
         if not m[k][k]:
             pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return []
+                return ()
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         row_k, pk = m[k], m[k][k]
         for i in range(k + 1, n):
             row_i, mik = m[i], m[i][k]
             for j in range(k + 1, n):
-                num = _il_sub_trim(_il_mul(row_i[j], pk), _il_mul(mik, row_k[j]))
-                row_i[j] = _il_exact_div(num, prev) if prev != [1] else num
-            row_i[k] = []
+                a, b = row_i[j], row_k[j]
+                num = _zlin(1, _zmul(a, pk) if a else (), -1, _zmul(mik, b) if mik and b else ())
+                row_i[j] = _zquo(num, prev)
+            row_i[k] = ()
         prev = pk
     det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else det
+    return tuple(-c for c in det) if sign < 0 else det
 
 
 def _dl_mul(a: list, b: list, zero) -> list:
@@ -352,67 +308,6 @@ def _dl_mul(a: list, b: list, zero) -> list:
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
     return out
-
-
-def _dl_sub(a: list, b: list, zero) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero) for i in range(n)]
-    return out
-
-
-def _dl_exact_div(a: list, b: list, zero) -> list:
-    if not b:
-        raise ZeroDivisionError("dense division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    da = len(rem) - 1
-    if da < db:
-        if not _trim(rem):
-            return []
-        raise ValueError("dense exact division failed")
-    inv = b[-1].inv()
-    quot = [zero] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        top = rem[k + db]
-        if not top.is_zero():
-            qc = top * inv
-            quot[k] = qc
-            for j, c in enumerate(b):
-                rem[k + j] = rem[k + j] - qc * c
-    if _trim(rem):
-        raise ValueError("dense exact division failed")
-    return _trim(quot)
-
-
-def _bareiss_det_dense(m: list[list[list]], zero) -> list:
-    """Bareiss determinant of a matrix whose entries are dense lists of
-    FieldElements (polynomials in one variable over the field)."""
-    n = len(m)
-    if n == 0:
-        return [zero.field.one]
-    m = [list(row) for row in m]
-    sign = 1
-    prev: list = []
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return []
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _dl_sub(_dl_mul(m[i][j], m[k][k], zero), _dl_mul(m[i][k], m[k][j], zero), zero)
-                num = _trim(num)
-                if prev:
-                    num = _dl_exact_div(num, prev, zero)
-                m[i][j] = num
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = [-c for c in det]
-    return det
 
 
 def _bareiss_det(m: list[list[MPoly]], field: Field, vars) -> MPoly:

@@ -9,18 +9,9 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .field import _fraction_sqrt
+from .field import _fraction_sqrt, _zmul
 
 IntPoly = Tuple[int, ...]   # dense theta-polynomial, low to high
-
-
-def _tp_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
 
 
 def _tp_eval(p: Sequence[int], n: int) -> int:
@@ -31,10 +22,10 @@ def _tp_eval(p: Sequence[int], n: int) -> int:
 
 
 def tpoly(*factors: Sequence[int]) -> IntPoly:
-    """Product of theta-polynomials given as coefficient sequences."""
+    """Product of nonzero theta-polynomials given as coefficient sequences."""
     out: Tuple[int, ...] = (1,)
     for f in factors:
-        out = _tp_mul(out, tuple(f))
+        out = _zmul(out, tuple(f))
     return out
 
 

@@ -232,6 +232,29 @@ def test_series_rejects_a_negative_or_malformed_order(n, capsys):
     assert "argument --n: expected a non-negative integer" in captured.err
 
 
+def test_series_order_bound_in_parser(capsys):
+    # parsed only: no check runs at an order above the bound
+    parser = build_parser()
+    assert parser.parse_args(["series", "--n", str(cli.SERIES_ORDER_MAX)]).n == cli.SERIES_ORDER_MAX
+    for n in (cli.SERIES_ORDER_MAX + 1, 100000000000):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["series", "--n", str(n)])
+        assert exc.value.code == 2
+        assert f"argument --n: expected an order of at most {cli.SERIES_ORDER_MAX}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["series", "--help"])
+    assert f"0 to {cli.SERIES_ORDER_MAX}" in capsys.readouterr().out
+
+
+def test_unwritable_out_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_check", lambda *args: pytest.fail("a check ran"))
+    target = tmp_path / "missing" / "report.json"
+    assert main(["all", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("k3pencil: error:") and str(target) in captured.err
+    assert not captured.out and not target.exists()
+
+
 @pytest.mark.parametrize("s_value", ["1", "-1"])
 def test_no_check_ran_exits_1(s_value, capsys):
     # the special fibres' line tables are data only: the report is written,

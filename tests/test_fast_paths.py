@@ -1,7 +1,11 @@
 """Differential property tests: each fast path of the elimination cascade
 against the exact path it replaces or the known answer.
 
-* integer Bareiss (resultants over QQ) vs the generic MPoly Bareiss;
+* integer Bareiss (resultants over QQ) vs the generic MPoly Bareiss, and
+  resultants over QQ(s) (the MPoly Bareiss) vs the QQ resultants of their
+  specializations;
+* gcds over QQ (the primitive PRS in Z[x]) vs the test-local Euclid on
+  Fraction coefficients, and exact division in Z[t] (_zquo);
 * the QQ(s) and QQ(m) coprimality certificate in gcd_poly vs the Euclidean
   gcd;
 * the series Newton loop of milnor_ade_classify on A_k normal forms moved
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from k3pencil import QQ, QS, QSA, MPoly, cover
 from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
-from k3pencil.field import QPoly, RatFunc, quadratic_field
+from k3pencil.field import QPoly, RatFunc, _zmul, _zquo, quadratic_field
 from k3pencil.lattice import (
     GramLattice,
     det_int,
@@ -101,14 +105,14 @@ def test_integer_resultant_matches_generic_bareiss(p, q):
 
 
 int_poly = st.lists(st.integers(-3, 3), max_size=3).map(
-    lambda cs: cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)]
+    lambda cs: tuple(cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)])
 )
 
 
 @SETTINGS
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(int_poly, min_size=n, max_size=n), min_size=n, max_size=n)))
-@example([[[], [1]], [[2], []]])
-@example([[[1], [2]], [[2], [4]]])
+@example([[(), (1,)], [(2,), ()]])
+@example([[(1,), (2,)], [(2,), (4,)]])
 def test_integer_bareiss_matches_generic_bareiss(matrix):
     # arbitrary square matrices over Z[y], many zero entries: row swaps on
     # zero pivots and singular matrices
@@ -894,3 +898,102 @@ def test_integer_ratfunc_kernel_matches_fraction_euclid(pair):
     for elem, old in ((xm, oxm), (QSA.from_ratfunc(x), ox)):
         _assert_kernel_matches(elem.conjugate().v, FracRatFunc(_frac_reflect(old.num), _frac_reflect(old.den)))
         assert (elem.sort_key(), str(elem)) == _frac_key_and_str(*_frac_m_to_s(old))
+
+
+# -- gcds over QQ: the primitive PRS in Z[x] -----------------------------------
+
+
+def _euclid_gcd(a: FracPoly, b: FracPoly) -> list:
+    """The monic gcd by Euclid on Fraction coefficients, the path gcds over
+    QQ took before the primitive PRS ([] for two zeros)."""
+    if a.is_zero() and b.is_zero():
+        return []
+    return [QQ.from_rat(c) for c in a.gcd(b).coeffs]
+
+
+dense_q = st.lists(rationals, max_size=5)
+
+
+@SETTINGS
+@given(dense_q, dense_q, st.one_of(st.none(), st.lists(rationals, min_size=2, max_size=3)))
+@example([], [], None)
+@example([], [Fraction(3, 2)], None)
+@example([Fraction(2, 3), Fraction(-1, 5)], [Fraction(7), Fraction(1, 2), Fraction(3)], None)
+@example([Fraction(1, 2), Fraction(2, 3)], [Fraction(0), Fraction(-4, 9)], [Fraction(1, 3), Fraction(5, 7)])
+def test_qq_gcd_matches_fraction_euclid(a, b, common):
+    # zero inputs, constant gcds, non-monic rational inputs and, when common
+    # has positive degree, a planted common factor
+    a, b = FracPoly(a), FracPoly(b)
+    planted = FracPoly(common or [])
+    if planted.degree() > 0:
+        a, b = a * planted, b * planted
+    expected = _euclid_gcd(a, b)
+    ea, eb = ([QQ.from_rat(c) for c in p.coeffs] for p in (a, b))
+    assert _dense_gcd(ea, eb, QQ) == expected
+    pa, pb = (MPoly.from_dense(QQ, ("x",), "x", e) for e in (ea, eb))
+    if not expected:
+        with pytest.raises(ValueError):
+            gcd_poly(pa, pb)
+        return
+    assert gcd_poly(pa, pb) == MPoly.from_dense(QQ, ("x",), "x", expected)
+    if planted.degree() > 0:
+        assert len(expected) > planted.degree()
+
+
+# -- exact division in Z[t] ----------------------------------------------------
+
+
+def test_zquo_divides_exactly_or_raises():
+    # a divisor that is neither primitive nor monic, as a Bareiss pivot
+    assert _zquo(_zmul((2, -3, 1), (-6, 4)), (-6, 4)) == (2, -3, 1)
+    # constants other than 1
+    assert _zquo((6, -9, 3), (3,)) == (2, -3, 1)
+    assert _zquo((6, -9, 3), (-3,)) == (-2, 3, -1)
+    assert _zquo((), (5, 1)) == ()
+    # a remainder in the leading step, in the low coefficients, a divisor of
+    # higher degree, and a rational quotient
+    for a, b in [((1, 2, 1), (2,)), ((1, 0, 1), (1, 1)), ((3,), (1, 1)), ((2, 2), (2, 4))]:
+        with pytest.raises(ValueError, match="inexact"):
+            _zquo(a, b)
+
+
+@SETTINGS
+@given(int_poly.filter(bool), int_poly.filter(bool))
+def test_zquo_inverts_zmul(a, b):
+    assert _zquo(_zmul(a, b), b) == a
+
+
+# -- resultants over QQ(s) by specialization -----------------------------------
+
+
+def _qs_coeff(num, pole):
+    """A coefficient of QQ(s): a polynomial in s, over (s + pole) if given."""
+    return QS.from_ratfunc(RatFunc(QPoly(num), QPoly([pole, 1]) if pole else QPoly([1])))
+
+
+qs_coeff = st.builds(_qs_coeff, st.lists(small_int, min_size=1, max_size=2), st.sampled_from([None, 2, -3]))
+poly_qs = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), qs_coeff, min_size=1, max_size=4
+).map(lambda terms: MPoly(QS, ("x", "y"), {e: c for e, c in terms.items() if not c.is_zero()}))
+RESULTANT_POINTS = [Fraction(k) for k in (0, 1, -1, 2, 3)] + [Fraction(1, 2)]
+
+
+@SETTINGS
+@given(poly_qs, poly_qs)
+@example(
+    MPoly(QS, ("x", "y"), {(2, 0): QS.s(), (0, 1): QS.one}),
+    MPoly(QS, ("x", "y"), {(1, 1): QS.s() - 1, (0, 0): (QS.s() + 2).inv()}),
+)
+def test_qs_resultant_specializes_to_qq_resultant(p, q):
+    # the Sylvester matrix specializes entrywise wherever neither
+    # x-degree drops, so the determinant does
+    if p.degree_in("x") < 1 or q.degree_in("x") < 1:
+        return
+    res = resultant(p, q, "x")
+    for s0 in RESULTANT_POINTS:
+        try:
+            p0, q0, res0 = specialize(p, s0), specialize(q, s0), specialize(res, s0)
+        except ValueError:
+            continue
+        if p0.degree_in("x") == p.degree_in("x") and q0.degree_in("x") == q.degree_in("x"):
+            assert resultant(p0, q0, "x") == res0

@@ -1,14 +1,16 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
-runtime_ms of each of its checks, and coefficient-layer and lattice-layer
-microbenchmarks.
+runtime_ms of each of its checks, and coefficient-layer, polyops-layer and
+lattice-layer microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
 BASE_SRC and CHANGE_SRC are the ``src`` directories of the two checkouts.
 Each measurement runs in a fresh interpreter with that directory on
-PYTHONPATH; the two sides alternate, run by run, RUNS times.  A side whose
+PYTHONPATH; the two sides alternate, run by run, RUNS times, each run being
+one `k3pencil all` and one pass of the microbenchmarks.  A side whose
 `k3pencil all` exits non-zero (a crash, or a check with status "fail")
-stops the script, so only passing reports are timed.  Reported per side:
+stops the script, so only passing reports are timed.  Reported per side,
+every microbenchmark as the median over the runs:
 
 * ``all_wall_s``: wall time of ``python3 -m k3pencil.cli all``, every run
   and the median;
@@ -18,6 +20,10 @@ stops the script, so only passing reports are timed.  Reported per side:
   QQ, QQ(sqrt(2)), QQ(s) and QQ(m), and over QQ(m) on a pair whose
   denominators are powers of 1 - m^2 (the best of five timeit repeats),
   built only through the public constructors, so any two versions compare;
+* ``polyops_us``: microseconds per ``gcd_poly`` over QQ of two polynomials
+  of degree 5 and 4 with rational coefficients and a common quadratic
+  factor, and per ``resultant`` in x over QQ(s) of two polynomials in x, y
+  of x-degree 2 and 3 (best of five timeit repeats);
 * ``lattice_us``: microseconds per ``rank_int``, ``rank_signature`` and
   ``smith_normal_form`` on the Gram matrix of the first surviving sheet
   assignment of the generic fibre (23 x 23, rank 19), and per
@@ -45,6 +51,7 @@ RUNS = 3
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_int", "rank_signature", "smith_normal_form", "disc_forms_isomorphic")
+POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ(s)")
 
 
 def _us_per_call(fn) -> float:
@@ -80,6 +87,21 @@ def coefficient_micro() -> dict:
         calls = {"mul": lambda: x * y, "add": lambda: x + y, "sub": lambda: x - y, "inv": x.inv}
         out[name] = {op: _us_per_call(calls[op]) for op in OPS}
     return out
+
+
+def polyops_micro() -> dict:
+    """Per polyops kernel, microseconds per call of the k3pencil on sys.path."""
+    from fractions import Fraction as F
+
+    from k3pencil import QQ, QS, parse_poly
+    from k3pencil.polyops import gcd_poly, resultant
+
+    a = parse_poly("(3*x^2 - 2*x + 5)*(7*x^3 + x - 4)", QQ, ("x",)) * F(1, 6)
+    b = parse_poly("(3*x^2 - 2*x + 5)*(2*x^2 + 9*x - 1)", QQ, ("x",)) * F(-2, 35)
+    p = parse_poly("s*x^2 + (s - 1)*x*y + 2*y^2 + s^2", QS, ("x", "y"))
+    q = parse_poly("x^3 - s*x*y + (s + 3)*y^2 - 1", QS, ("x", "y"))
+    calls = {"gcd_poly QQ": lambda: gcd_poly(a, b), "resultant QQ(s)": lambda: resultant(p, q, "x")}
+    return {op: _us_per_call(calls[op]) for op in POLYOPS_OPS}
 
 
 def lattice_micro() -> dict:
@@ -128,22 +150,29 @@ def run_micro(src: str) -> dict:
     return json.loads(done.stdout)
 
 
+def _median(runs: list):
+    """The median of each leaf over a list of equally shaped nested dicts."""
+    if isinstance(runs[0], dict):
+        return {key: _median([run[key] for run in runs]) for key in runs[0]}
+    return statistics.median(runs)
+
+
 def measure(sides: dict) -> dict:
     walls = {name: [] for name in sides}
     checks = {name: [] for name in sides}
+    micros = {name: [] for name in sides}
     for _ in range(RUNS):
         for name, src in sides.items():
             wall, ms = run_all(src)
             walls[name].append(round(wall, 3))
             checks[name].append(ms)
+            micros[name].append(run_micro(src))
     out = {}
-    for name, src in sides.items():
+    for name in sides:
         out[name] = {
             "all_wall_s": {"runs": walls[name], "median": statistics.median(walls[name])},
-            "check_runtime_ms": {
-                cid: statistics.median(run[cid] for run in checks[name]) for cid in checks[name][0]
-            },
-            **run_micro(src),
+            "check_runtime_ms": _median(checks[name]),
+            **_median(micros[name]),
         }
     return out
 
@@ -155,7 +184,11 @@ def main() -> None:
     ap.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.micro:
-        print(json.dumps({"coefficient_us": coefficient_micro(), "lattice_us": lattice_micro()}))
+        print(json.dumps({
+            "coefficient_us": coefficient_micro(),
+            "polyops_us": polyops_micro(),
+            "lattice_us": lattice_micro(),
+        }))
         return
     if not (args.base and args.change):
         ap.error("BASE_SRC and CHANGE_SRC are required")
@@ -169,6 +202,9 @@ def main() -> None:
         "coefficient_us": {
             f: {op: round(change["coefficient_us"][f][op] / base["coefficient_us"][f][op], 3) for op in OPS}
             for f in FIELDS
+        },
+        "polyops_us": {
+            op: round(change["polyops_us"][op] / base["polyops_us"][op], 3) for op in POLYOPS_OPS
         },
         "lattice_us": {
             op: round(change["lattice_us"][op] / base["lattice_us"][op], 3) for op in LATTICE_OPS
