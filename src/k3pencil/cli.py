@@ -18,7 +18,7 @@ from typing import Optional
 from . import __version__
 from .claims import FLAGGED_CHECKS, claim_ref
 from .field import QQ, QS
-from .lattice import lattice_invariants, standard_lattice
+from .lattice import LATTICE_RANK_MAX, lattice_invariants, standard_lattice
 from .mpoly import MPoly
 from .pencil import (
     GENERIC_BRANCH_POINTS,
@@ -29,10 +29,10 @@ from .pencil import (
     radical_quartic,
 )
 from .singular import (
+    DEFAULT_JET_ORDER,
     ProjPoint,
     branch_ade_type,
     double_cover_type,
-    jet_order_from_env,
     milnor_ade_classify,
     verify_curve_intersections,
     verify_singular_locus,
@@ -131,11 +131,7 @@ def _quartic_singular_locus(run):
     types_ok = True
     for coords, k in QUARTIC_SINGULAR_TABLE:
         P = ProjPoint(QQ, coords)
-        i = next(j for j, c in enumerate(P.coords) if not c.is_zero())
-        chart = Q.vars[i]
-        aff = Q.set_var(chart, QQ.one).drop_vars([chart])
-        pcoords = [P.coords[j] for j in range(4) if j != i]
-        r = milnor_ade_classify(aff, pcoords)
+        r = milnor_ade_classify(*P.affine(Q))
         types_ok = types_ok and r.k == k
         rows.append({"point": str(P), "type": f"A{r.k}", "milnor": r.milnor_number})
     return rep.ok and types_ok, {"complete": rep.ok, "witness": rep.witness, "rows": rows}
@@ -507,7 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="the generic fibre (checks and data) or s = 1 or s = -1 (data only; exit code 1)",
     )
     sp = add("lattice", "invariants of a standard lattice expression")
-    sp.add_argument("--spec", required=True, help='e.g. "U + E8(-1)^2 + <-12>"')
+    sp.add_argument(
+        "--spec",
+        required=True,
+        help=f'e.g. "U + E8(-1)^2 + <-12>", of total rank at most {LATTICE_RANK_MAX}',
+    )
     sp = add("picard", "divisor enumeration per fibre")
     sp.add_argument("--fiber", choices=["generic", "s1", "s-1", "all"], default="all")
     sp = add("series", "operator and sequence checks")
@@ -531,7 +531,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        jet_order = jet_order_from_env()
         lattice = lattice_invariants(standard_lattice(args.spec)) if args.command == "lattice" else None
         out = open(args.out, "w") if args.out else None
     except (ValueError, OSError) as e:
@@ -543,7 +542,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         for command, selector, check_id, fn in CHECKS
         if _selected(command, selector, check_id, args)
     ]
-    header = {"version": __version__, "python": sys.version.split()[0], "jet_order": jet_order}
+    header = {"version": __version__, "python": sys.version.split()[0], "jet_order": DEFAULT_JET_ORDER}
     report = {"schema": SCHEMA, "header": header, "command": args.command, "checks": checks}
     extra = None
     if args.command == "singularities":

@@ -138,11 +138,7 @@ def _solve_line(line: MPoly) -> tuple[str, MPoly]:
 def restrict_to_line(poly: MPoly, line: MPoly) -> tuple[MPoly, str]:
     """Restriction of a form to a line (substituting out one variable);
     returns the binary form and the eliminated variable."""
-    if poly.field != line.field:
-        if poly.field.contains(line.field):
-            line = line.to_field(poly.field)
-        else:
-            poly = poly.to_field(line.field)
+    poly, line = MPoly.common(poly, line)
     v, image = _solve_line(line)
     return poly.set_var_poly(v, image), v
 
@@ -234,43 +230,20 @@ def even_contact_test(line: MPoly, config: BranchConfig):
 def derive_lift(line: MPoly, config: BranchConfig) -> MPoly:
     """Derive the w-formula of a chosen lift component: the square root of
     the restricted sextic, extended to a degree-3 form in x, y, z, with the
-    sign fixed by the smaller canonical sort key."""
+    sign fixed by the smaller canonical sort key.  Lifts are derived over
+    QQ only (the lines of s = 1): the unit must be a rational square."""
     even, q, unit = even_contact_test(line, config)
     if not even:
         raise ValueError("line does not have even contact")
-    field = config.field
-    uval = unit if isinstance(unit, FieldElement) else field.coerce(unit)
-    root = _field_sqrt(uval)
+    root = _fraction_sqrt(unit.v) if unit.field == QQ else None
     if root is None:
-        raise ValueError("unit is not a square in the coefficient field")
-    w = q.to_field(field).with_vars(config.sextic.vars) * root
+        raise ValueError("unit is not a square in QQ")
+    w = q.to_field(config.field).with_vars(config.sextic.vars) * root
     # certificate so far lives on the line's parameter plane; it already is a
     # form in the surviving variables, which is what the lift stores
     cands = [w, -w]
     cands.sort(key=lambda p: p.sort_key())
     return cands[0]
-
-
-def _field_sqrt(c: FieldElement) -> Optional[FieldElement]:
-    """Square root within the tower of a rational constant q: sqrt(q) in QQ,
-    else sqrt(q/d)*alpha over QQ(sqrt(d)); None for anything else."""
-    field, q = c.field, c.v
-    if field.with_s:
-        if not q.is_const():
-            return None
-        q = q.const_value()
-    elif field.d is not None:
-        if q[1]:
-            return None
-        q = q[0]
-    r = _fraction_sqrt(q)
-    if r is not None:
-        return field.from_rat(r)
-    if field.d is not None:
-        r = _fraction_sqrt(q / field.d)
-        if r is not None:
-            return field.alpha() * r
-    return None
 
 
 def verify_component_lift(lift: LiftedLine, config: BranchConfig):
@@ -285,8 +258,8 @@ def verify_component_lift(lift: LiftedLine, config: BranchConfig):
 def line_intersection_point(a: MPoly, b: MPoly) -> ProjPoint:
     """The intersection point of two distinct plane lines (cross product of
     the coefficient covectors)."""
-    field = a.field if a.field.contains(b.field) else b.field
-    a, b = a.to_field(field), b.to_field(field)
+    a, b = MPoly.common(a, b)
+    field = a.field
 
     def cov(p: MPoly) -> list[FieldElement]:
         out = []
@@ -317,23 +290,12 @@ def lifted_line_intersection(
         raise ValueError("self-intersection is -2 by adjunction, not computed here")
     pts = config.singular_points if excluded is None else list(excluded)
     P = line_intersection_point(a.line, b.line)
-    for Q in pts:
-        if _same_point(P, Q):
-            return 0
+    if P in pts:
+        return 0
     coords = list(P.coords)
-    wa = a.w_formula.to_field(P.coords[0].field).evaluate(coords)
-    wb = b.w_formula.to_field(P.coords[0].field).evaluate(coords)
+    wa = a.w_formula.to_field(P.field).evaluate(coords)
+    wb = b.w_formula.to_field(P.field).evaluate(coords)
     return 1 if wa == wb else 0
-
-
-def _same_point(P: ProjPoint, Q: ProjPoint) -> bool:
-    fieldP, fieldQ = P.coords[0].field, Q.coords[0].field
-    if fieldP == fieldQ:
-        return P == Q
-    field = fieldP if fieldP.contains(fieldQ) else fieldQ
-    return ProjPoint(field, [field.coerce(c) for c in P.coords]) == ProjPoint(
-        field, [field.coerce(c) for c in Q.coords]
-    )
 
 
 def line_matrix(lines: Sequence[LiftedLine], config: BranchConfig) -> list[list[int]]:

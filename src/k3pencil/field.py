@@ -124,36 +124,52 @@ class QPoly:
         return QP_ONE
 
     def eval(self, x: Fraction) -> Fraction:
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mon = "s" if i == 1 else f"s^{i}"
-                if c == 1:
-                    parts.append(mon)
-                elif c == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{c}*{mon}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _poly_str(self.coeffs, "s")
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
+
+
+def _horner(cs, x):
+    """sum_i cs[i] * x^i, cs low degree first, by Horner's rule."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _signed_join(bits: list) -> str:
+    """Terms joined by " + ", or by " - " before a term printed with a
+    leading minus sign; "0" for no terms."""
+    if not bits:
+        return "0"
+    out = bits[0]
+    for b in bits[1:]:
+        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
+    return out
+
+
+def _poly_str(cs, var: str) -> str:
+    """A dense polynomial, low degree first, printed highest degree first:
+    "3*s^2 - s + 1/2" for var "s"."""
+    bits = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        mono = var if i == 1 else f"{var}^{i}"
+        if i == 0:
+            bits.append(str(c))
+        elif c == 1:
+            bits.append(mono)
+        elif c == -1:
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"{c}*{mono}")
+    return _signed_join(bits)
 
 
 def _qp(coeffs: tuple) -> QPoly:

@@ -237,17 +237,28 @@ def _e8_cartan() -> IntMatrix:
     return m
 
 
+#: The largest rank of a ``standard_lattice``.  The Smith form of the
+#: costliest spec at this rank, ``<2>^256``, takes about 7 s on a 2-core VM
+#: (``U^128`` about 3 s), and the cost grows steeply beyond.
+LATTICE_RANK_MAX = 256
+
+
 def standard_lattice(spec: str) -> GramLattice:
     """Block lattice from an expression over U, E8(-1), <n> and direct sums,
-    e.g. "U + E8(-1)^2 + <-12>".  A unicode circled plus is accepted too."""
+    e.g. "U + E8(-1)^2 + <-12>".  A unicode circled plus is accepted too.
+    A ValueError naming LATTICE_RANK_MAX is raised before any Gram matrix
+    is built if the rank, summed over the blocks, exceeds it."""
     text = spec.replace("⊕", "+").strip()
     if not text:
         raise ValueError("empty lattice expression")
-    parts = _split_sum(text)
+    blocks = [_parse_block(part.strip()) for part in _split_sum(text)]
+    rank = sum(base.dim * power for base, power in blocks)
+    if rank > LATTICE_RANK_MAX:
+        raise ValueError(f"lattice rank {rank} exceeds the bound of {LATTICE_RANK_MAX}")
     out: Optional[GramLattice] = None
-    for part in parts:
-        block = _parse_block(part.strip())
-        out = block if out is None else out.direct_sum(block)
+    for base, power in blocks:
+        for _ in range(power):
+            out = base if out is None else out.direct_sum(base)
     return out
 
 
@@ -274,7 +285,8 @@ def _split_sum(text: str) -> list[str]:
 _BLOCK_GRAMMAR = "blocks are U, E8, E8(-1) or <n> for an integer n, each with an optional ^k"
 
 
-def _parse_block(part: str) -> GramLattice:
+def _parse_block(part: str) -> tuple[GramLattice, int]:
+    """The base block of one summand and its power."""
     power = 1
     if "^" in part:
         part, _, exp = part.rpartition("^")
@@ -295,10 +307,7 @@ def _parse_block(part: str) -> GramLattice:
         base = GramLattice.from_rows([[n]], [f"<{n}>"])
     else:
         raise ValueError(f"unknown lattice block {part!r}; {_BLOCK_GRAMMAR}")
-    out = base
-    for _ in range(power - 1):
-        out = out.direct_sum(base)
-    return out
+    return base, power
 
 
 def _block_int(text: str, block: str) -> int:

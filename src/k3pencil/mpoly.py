@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .field import Field, FieldElement, QQ
+from .field import Field, FieldElement
 
 Exponent = Tuple[int, ...]
 
@@ -192,9 +192,6 @@ class MPoly:
             n >>= 1
         return out
 
-    def scale(self, c: FieldElement) -> "MPoly":
-        return self * c
-
     def monic(self) -> "MPoly":
         """Divide by the grlex leading coefficient."""
         if self.is_zero():
@@ -224,13 +221,6 @@ class MPoly:
             q[qe] = qc
             rem = rem - MPoly(self.field, self.vars, {qe: qc}) * other
         return MPoly(self.field, self.vars, q)
-
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ValueError:
-            return False
 
     # -- calculus and substitution ---------------------------------------
 
@@ -352,17 +342,12 @@ class MPoly:
             self.field, self.vars, {e: c for e, c in self.terms.items() if sum(e) == degree}
         )
 
-    def homogenize(self, new_var: str, weights: Optional[Sequence[int]] = None) -> "MPoly":
-        """Homogenize by appending a fresh variable of weight 1 (plain) or
-        against the given weights of the existing variables."""
+    def homogenize(self, new_var: str) -> "MPoly":
+        """Homogenize by appending a fresh variable."""
         if new_var in self.vars:
             raise ValueError("homogenization variable already present")
-        w = tuple(weights) if weights is not None else (1,) * len(self.vars)
-        wdeg = max(sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms)
-        out: Dict[Exponent, FieldElement] = {}
-        for e, c in self.terms.items():
-            d = sum(wi * ei for wi, ei in zip(w, e))
-            out[e + (wdeg - d,)] = c
+        deg = self.total_degree()
+        out = {e + (deg - sum(e),): c for e, c in self.terms.items()}
         return MPoly(self.field, self.vars + (new_var,), out)
 
     def dehomogenize(self, var: str) -> "MPoly":
@@ -400,6 +385,20 @@ class MPoly:
                 ne[pos[i]] = k
             out[tuple(ne)] = c
         return MPoly(self.field, vars, out)
+
+    @staticmethod
+    def common(p: "MPoly", q: "MPoly") -> tuple["MPoly", "MPoly"]:
+        """p and q over the larger of their two fields and over the union of
+        their variables, p's first."""
+        if p.field != q.field:
+            if p.field.contains(q.field):
+                q = q.to_field(p.field)
+            else:
+                p = p.to_field(q.field)
+        if p.vars != q.vars:
+            allv = tuple(dict.fromkeys(p.vars + q.vars))
+            p, q = p.with_vars(allv), q.with_vars(allv)
+        return p, q
 
     def to_field(self, field: Field) -> "MPoly":
         if field == self.field:

@@ -78,11 +78,7 @@ def gcd_poly(p: MPoly, q: MPoly) -> MPoly:
     """Monic gcd of two univariate polynomials over a common field."""
     if p.is_zero() and q.is_zero():
         raise ValueError("undefined gcd: both inputs zero")
-    if p.field != q.field:
-        if p.field.contains(q.field):
-            q = q.to_field(p.field)
-        else:
-            p = p.to_field(q.field)
+    p, q = MPoly.common(p, q)
     var = None
     for poly in (p, q):
         if not poly.is_zero() and poly.total_degree() > 0:
@@ -95,9 +91,6 @@ def gcd_poly(p: MPoly, q: MPoly) -> MPoly:
                 raise ValueError("gcd_poly inputs in different variables")
     if var is None:
         return MPoly.const(p.field, p.vars, 1)
-    if p.vars != q.vars:
-        allv = tuple(dict.fromkeys(p.vars + q.vars))
-        p, q = p.with_vars(allv), q.with_vars(allv)
     a = p.dense_univariate(var) if not p.is_zero() else []
     b = q.dense_univariate(var) if not q.is_zero() else []
     if p.field.with_s and len(a) > 1 and len(b) > 1 and _coprime_by_specialization(a, b):
@@ -193,14 +186,7 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     Over QQ with at most one further variable y the entries are Z[y] tuples
     (_resultant_dense), which is much faster; every other case runs the
     MPoly Bareiss _bareiss_det."""
-    if p.field != q.field:
-        if p.field.contains(q.field):
-            q = q.to_field(p.field)
-        else:
-            p = p.to_field(q.field)
-    if p.vars != q.vars:
-        allv = tuple(dict.fromkeys(p.vars + q.vars))
-        p, q = p.with_vars(allv), q.with_vars(allv)
+    p, q = MPoly.common(p, q)
     m, n = p.degree_in(var), q.degree_in(var)
     if m <= 0 or n <= 0:
         raise ValueError("resultant requires positive degree in the variable")

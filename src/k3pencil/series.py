@@ -6,19 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .field import _fraction_sqrt, _zmul
+from .field import _fraction_sqrt, _horner, _poly_str, _signed_join, _zmul, _ztrim
 
 IntPoly = Tuple[int, ...]   # dense theta-polynomial, low to high
-
-
-def _tp_eval(p: Sequence[int], n: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * n + c
-    return acc
 
 
 def tpoly(*factors: Sequence[int]) -> IntPoly:
@@ -84,7 +77,7 @@ def theta_apply(op: ThetaOperator, f: PowerSeries) -> PowerSeries:
     for a, p in op.terms.items():
         for n, c in enumerate(f.coeffs):
             if c and n + a <= N:
-                out[n + a] += _tp_eval(p, n) * c
+                out[n + a] += _horner(p, n) * c
     return PowerSeries(f.variable, tuple(out))
 
 
@@ -100,7 +93,7 @@ class Recurrence:
         total = Fraction(0)
         for a, p in enumerate(self.coeff_polys):
             if a <= n and n - a < len(u):
-                total += _tp_eval(p, n - a) * Fraction(u[n - a])
+                total += _horner(p, n - a) * Fraction(u[n - a])
         return total
 
     def predict(self, u0: Fraction, N: int) -> list[Fraction]:
@@ -108,12 +101,12 @@ class Recurrence:
         requires c_0(n) != 0 for 1 <= n <= N."""
         out = [Fraction(u0)]
         for n in range(1, N + 1):
-            lead = _tp_eval(self.coeff_polys[0], n)
+            lead = _horner(self.coeff_polys[0], n)
             if lead == 0:
                 raise ValueError(f"leading recurrence coefficient vanishes at n = {n}")
             acc = Fraction(0)
             for a in range(1, min(n, self.order) + 1):
-                acc += _tp_eval(self.coeff_polys[a], n - a) * out[n - a]
+                acc += _horner(self.coeff_polys[a], n - a) * out[n - a]
             out.append(-acc / lead)
         return out
 
@@ -235,13 +228,15 @@ class SurdSum:
         return SurdSum(((c, 1),) if c else ())
 
     @staticmethod
-    def root(c, m: int) -> "SurdSum":
-        """c * sqrt(m), simplifying square factors of m."""
-        c = Fraction(c)
+    def root(c, r) -> "SurdSum":
+        """c * sqrt(r) for a rational r >= 0, as c/D * sqrt(N*D) for
+        r = N/D, simplifying square factors of N*D."""
+        r = Fraction(r)
+        if r < 0:
+            raise ValueError("negative radicand")
+        c, m = Fraction(c) / r.denominator, r.numerator * r.denominator
         if c == 0 or m == 0:
             return SurdSum(())
-        if m < 0:
-            raise ValueError("negative radicand")
         sq = 1
         rest = m
         d = 2
@@ -270,8 +265,6 @@ class SurdSum:
         return None
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "0"
         bits = []
         for c, m in self.parts:
             if m == 1:
@@ -282,33 +275,7 @@ class SurdSum:
                 bits.append(f"-sqrt({m})")
             else:
                 bits.append(f"{c}*sqrt({m})")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
-
-
-def _poly_str(p: Sequence[int], var: str) -> str:
-    bits = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        if not mono:
-            bits.append(str(c))
-        elif c == 1:
-            bits.append(mono)
-        elif c == -1:
-            bits.append(f"-{mono}")
-        else:
-            bits.append(f"{c}*{mono}")
-    if not bits:
-        return "0"
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out
+        return _signed_join(bits)
 
 
 @dataclass
@@ -333,15 +300,10 @@ def operator_singularities(op: ThetaOperator) -> SymbolReport:
     for a, p in op.terms.items():
         if len(p) - 1 == ordr:
             sym[a] = p[ordr]
-    while sym and sym[-1] == 0:
-        sym.pop()
+    sym = _ztrim(sym)
     if not sym:
         raise ValueError("zero leading symbol")
-    from math import gcd as _gcd
-
-    content = 0
-    for c in sym:
-        content = _gcd(content, abs(c))
+    content = gcd(*sym)
     sym = [c // content for c in sym]
     k = next(i for i, c in enumerate(sym) if c)
     core = sym[k:]
@@ -357,12 +319,6 @@ def _factor_int_poly(p: list[int]) -> tuple[list[SurdSum], list[str]]:
     roots: list[SurdSum] = []
     factors: list[str] = []
     work = [Fraction(c) for c in p]
-
-    def trim(w):
-        while w and w[-1] == 0:
-            w.pop()
-        return w
-
     # rational roots p/q with p | const, q | lead
     changed = True
     while changed and len(work) > 2:
@@ -375,7 +331,7 @@ def _factor_int_poly(p: list[int]) -> tuple[list[SurdSum], list[str]]:
             for qn in _divisors(abs(lead.numerator)):
                 for sign in (1, -1):
                     cand = Fraction(sign * pn, qn)
-                    if _eval_frac(work, cand) == 0:
+                    if _horner(work, cand) == 0:
                         roots.append(SurdSum.rational(cand))
                         factors.append(_poly_str([-cand.numerator, cand.denominator], "x"))
                         work = _deflate(work, cand)
@@ -385,7 +341,7 @@ def _factor_int_poly(p: list[int]) -> tuple[list[SurdSum], list[str]]:
                     break
             if changed:
                 break
-    work = trim(work)
+    work = list(_ztrim(work))
     deg = len(work) - 1
     if deg <= 0:
         return roots, factors
@@ -417,13 +373,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out + [n // d for d in out]))
 
 
-def _eval_frac(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _deflate(p: list[Fraction], root: Fraction) -> list[Fraction]:
     out = [Fraction(0)] * (len(p) - 1)
     acc = Fraction(0)
@@ -438,13 +387,8 @@ def _quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[SurdSum]:
     if disc < 0:
         raise ValueError("complex roots not supported")
     base = SurdSum.rational(-b / (2 * a))
-    rad = _surd_sqrt(disc, 1 / (2 * a))
+    rad = SurdSum.root(1 / (2 * a), disc)
     return [base + rad, base + (-rad)]
-
-
-def _surd_sqrt(r: Fraction, c=1) -> SurdSum:
-    """c * sqrt(r) for a rational r >= 0: sqrt(N/D) = sqrt(N*D)/D."""
-    return SurdSum.root(Fraction(c) / r.denominator, r.numerator * r.denominator)
 
 
 def _sqrt_surd(u: SurdSum) -> list[SurdSum]:
@@ -452,7 +396,7 @@ def _sqrt_surd(u: SurdSum) -> list[SurdSum]:
     a + b sqrt(d) (when a^2 - b^2 d is a rational square)."""
     r = u.as_fraction()
     if r is not None:
-        root = _surd_sqrt(r)
+        root = SurdSum.root(1, r)
         return [root, -root]
     if len(u.parts) == 2 and u.parts[0][1] == 1:
         (a, _), (b, d) = u.parts
@@ -461,8 +405,8 @@ def _sqrt_surd(u: SurdSum) -> list[SurdSum]:
             half1 = (a + cval) / 2
             half2 = (a - cval) / 2
             if half1 >= 0 and half2 >= 0:
-                r1 = _surd_sqrt(half1)
-                r2 = _surd_sqrt(half2)
+                r1 = SurdSum.root(1, half1)
+                r2 = SurdSum.root(1, half2)
                 root = r1 + r2 if b > 0 else r1 + (-r2)
                 return [root, -root]
     raise ValueError(f"cannot denest sqrt of {u}")

@@ -13,32 +13,16 @@ parameter values.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .field import Field, FieldElement, QQ
+from .field import Field, FieldElement
 from .mpoly import MPoly
 from .polyops import _dl_mul, _trim, gcd_bivariate, gcd_poly, resultant
 
+#: The jet bound of the A_k classifier.
 DEFAULT_JET_ORDER = 10
-
-
-def jet_order_from_env() -> int:
-    """The jet bound of the A_k classifier: K3PENCIL_JET_ORDER if set, else
-    DEFAULT_JET_ORDER.  Raises ValueError, naming the variable, unless the
-    value is an integer >= 1."""
-    env = os.environ.get("K3PENCIL_JET_ORDER")
-    if not env:
-        return DEFAULT_JET_ORDER
-    try:
-        order = int(env)
-    except ValueError:
-        order = 0
-    if order < 1:
-        raise ValueError(f"K3PENCIL_JET_ORDER must be an integer >= 1, got {env!r}")
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -47,36 +31,44 @@ def jet_order_from_env() -> int:
 
 
 class ProjPoint:
-    """Point of a (weighted) projective space with exact coordinates.
-    Equality is up to weighted scaling; points are normalized on creation
-    using the first nonzero weight-one coordinate."""
+    """Point of a projective space with exact coordinates, scaled on
+    creation so that its first nonzero coordinate is 1.  Equality is up to
+    scaling, over whichever of the two coordinate fields contains the other
+    (never, when neither does)."""
 
-    __slots__ = ("coords", "weights")
+    __slots__ = ("coords",)
 
-    def __init__(self, field: Field, coords: Sequence, weights: Optional[Sequence[int]] = None):
+    def __init__(self, field: Field, coords: Sequence):
         cs = [field.coerce(c) for c in coords]
-        if all(c.is_zero() for c in cs):
+        lead = next((c for c in cs if not c.is_zero()), None)
+        if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        ws = tuple(weights) if weights is not None else (1,) * len(cs)
-        if len(ws) != len(cs):
-            raise ValueError("weights/coordinates length mismatch")
-        pivot = next((i for i, (c, w) in enumerate(zip(cs, ws)) if w == 1 and not c.is_zero()), None)
-        if pivot is not None:
-            lam = cs[pivot].inv()
-            cs = [c * lam ** w for c, w in zip(cs, ws)]
-        self.coords = tuple(cs)
-        self.weights = ws
+        lam = lead.inv()
+        self.coords = tuple(c * lam for c in cs)
+
+    @property
+    def field(self) -> Field:
+        return self.coords[0].field
+
+    def affine(self, F: MPoly) -> tuple[MPoly, list[FieldElement]]:
+        """F on the chart of the point's first nonzero coordinate, which is
+        1, and the point's other coordinates there, in F's field."""
+        i = next(i for i, c in enumerate(self.coords) if not c.is_zero())
+        coords = [F.field.coerce(c) for j, c in enumerate(self.coords) if j != i]
+        return F.dehomogenize(F.vars[i]), coords
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProjPoint)
-            and self.weights == other.weights
-            and len(self.coords) == len(other.coords)
-            and all(a == b for a, b in zip(self.coords, other.coords))
+        if not isinstance(other, ProjPoint) or len(self.coords) != len(other.coords):
+            return False
+        f, g = self.field, other.field
+        field = f if f.contains(g) else g if g.contains(f) else None
+        return field is not None and all(
+            field.coerce(a) == field.coerce(b) for a, b in zip(self.coords, other.coords)
         )
 
     def __hash__(self) -> int:
-        return hash((self.weights, tuple(c.sort_key() for c in self.coords)))
+        """The coordinates' sort keys, which do not depend on the field."""
+        return hash(tuple(c.sort_key() for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -89,10 +81,6 @@ class ProjPoint:
 class SingularityReport:
     point: ProjPoint
     k: int
-
-    @property
-    def type_name(self) -> str:
-        return f"A{self.k}"
 
     @property
     def milnor_number(self) -> int:
@@ -332,7 +320,6 @@ def verify_singular_locus(F: MPoly, candidates: Sequence[ProjPoint]) -> LocusRep
     for generic s)."""
     if not F.is_homogeneous():
         raise ValueError("verify_singular_locus requires a homogeneous input")
-    field = F.field
     vars = F.vars
     partials = [F.derivative(v) for v in vars]
     # F itself vanishes on the singular locus (Euler relation, char 0); it is
@@ -346,7 +333,7 @@ def verify_singular_locus(F: MPoly, candidates: Sequence[ProjPoint]) -> LocusRep
     report = LocusReport("complete", verified=list(candidates))
     for chart_i, chart_var in enumerate(vars):
         chart_vars = vars[:chart_i] + vars[chart_i + 1 :]
-        system = [p.set_var(chart_var, field.one).drop_vars([chart_var]) for p in system_polys]
+        system = [p.dehomogenize(chart_var) for p in system_polys]
         chart_cands = []
         for P in candidates:
             c = P.coords[chart_i]
@@ -381,12 +368,12 @@ def _bad_parameter_values(const_poly: MPoly) -> Optional[str]:
 
 
 def milnor_ade_classify(
-    f: MPoly, point: Sequence, jet_order: Optional[int] = None
+    f: MPoly, point: Sequence, jet_order: int = DEFAULT_JET_ORDER
 ) -> SingularityReport:
     """Classify an isolated critical point with critical value 0 as A_k by
     corank computation and jet-level square completion.  Returns the report
     with milnor number k."""
-    N = jet_order or jet_order_from_env()
+    N = jet_order
     field = f.field
     vals = [field.coerce(p) for p in point]
     g = f.translate(vals).truncate(N)
@@ -553,21 +540,17 @@ def branch_ade_type(contact: int) -> int:
     return 2 * contact - 1
 
 
-def double_cover_type(sextic: MPoly, P: ProjPoint, jet_order: Optional[int] = None) -> SingularityReport:
+def double_cover_type(sextic: MPoly, P: ProjPoint) -> SingularityReport:
     """A_k type of the double cover w^2 = sextic above a singular point of
     the sextic, computed from the local equation w^2 - sextic in an affine
     chart at the point."""
-    i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
-    chart_var = sextic.vars[i]
-    inv = P.coords[i].inv()
-    affine = sextic.set_var(chart_var, sextic.field.one).drop_vars([chart_var])
-    coords = [P.coords[j] * inv for j in range(len(sextic.vars)) if j != i]
+    affine, coords = P.affine(sextic)
     wvars = affine.vars + ("w_cov",)
     field = affine.field
     w = MPoly.variable(field, wvars, "w_cov")
     local = w * w - affine.with_vars(wvars)
-    rep = milnor_ade_classify(local, coords + [field.zero], jet_order)
-    return SingularityReport(ProjPoint(field, list(P.coords), P.weights), rep.k)
+    rep = milnor_ade_classify(local, coords + [field.zero])
+    return SingularityReport(ProjPoint(field, P.coords), rep.k)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +562,7 @@ def intersection_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     """I_P(F, G) for plane curves without a common component through P: by
     restriction when either curve is a line (``_line_contact``), else by the
     axiomatic reduction algorithm on a chart at P."""
-    if F.field != G.field:
-        if F.field.contains(G.field):
-            G = G.to_field(F.field)
-        else:
-            F = F.to_field(G.field)
+    F, G = MPoly.common(F, G)
     if G.total_degree() == 1:
         return _line_contact(F, G, P)
     if F.total_degree() == 1:
@@ -595,15 +574,8 @@ def _fulton_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     """I_P(F, G) over one field by the axiomatic reduction algorithm
     (Fulton, section 3.3) on a chart at P, after a bivariate gcd rules out a
     common component through P."""
-    vars = F.vars
-    i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
-    chart = vars[i]
-    inv = P.coords[i].inv()
-    f = F.set_var(chart, F.field.one).drop_vars([chart])
-    g = G.set_var(chart, G.field.one).drop_vars([chart])
-    coords = [P.coords[j] * inv for j in range(len(vars)) if j != i]
-    f = f.translate(coords)
-    g = g.translate(coords)
+    f, coords = P.affine(F)
+    f, g = f.translate(coords), P.affine(G)[0].translate(coords)
     if not f.const_coeff().is_zero() or not g.const_coeff().is_zero():
         return 0
     x, y = f.vars
@@ -617,8 +589,8 @@ def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
     """I_P(F, L) for a line L, as ord_{t=0} F(P + t Q) (Fulton, Algebraic
     Curves, section 3.3).
 
-    P is scaled so that its chart coordinate x_i is 1, and Q is the point of
-    L with x_i = 0: (l_k, -l_j) on the other two coordinates x_j, x_k of
+    On the chart x_i = 1 of P (``ProjPoint.affine``), Q is the point of L
+    with x_i = 0: (l_k, -l_j) on the other two coordinates x_j, x_k of
     L = l_i x_i + l_j x_j + l_k x_k.  Sound because a line is nonsingular at
     each of its points, where I_P(F, L) = ord_P^L(F), the order of F in the
     discrete valuation ring of L at P; t -> P + t Q with Q != P on L is a
@@ -627,22 +599,17 @@ def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
     it.  A restriction that is identically zero means F vanishes on L, so L
     is a component of F."""
     field, zero = F.field, F.field.zero
-    i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
-    inv = P.coords[i].inv()
-    point = [field.coerce(c * inv) for c in P.coords]
-    if not L.evaluate(point).is_zero():
+    f, (a, b) = P.affine(F)
+    line, point = P.affine(L)
+    if not line.evaluate(point).is_zero():
         return 0
-    j, k = [v for v in range(3) if v != i]
-    linear = {e.index(1): c for e, c in L.terms.items() if sum(e) == 1}
-    bases = {
-        j: _trim([point[j], linear.get(k, zero)]),
-        k: _trim([point[k], -linear.get(j, zero)]),
-    }
-    powers = {v: [[field.one]] for v in bases}
+    l_j, l_k = (line.terms.get(e, zero) for e in ((1, 0), (0, 1)))
+    bases = (_trim([a, l_k]), _trim([b, -l_j]))
+    powers = ([[field.one]], [[field.one]])
     restriction: list = []
-    for e, c in F.terms.items():
+    for e, c in f.terms.items():
         term = [c]
-        for v, base in bases.items():  # x_i = 1 on the chart
+        for v, base in enumerate(bases):
             cache = powers[v]
             while len(cache) <= e[v]:
                 cache.append(_dl_mul(cache[-1], base, zero))
@@ -704,11 +671,7 @@ def _imult_origin(f: MPoly, g: MPoly) -> int:
 def multiplicity_at(F: MPoly, P: ProjPoint) -> int:
     """Multiplicity of the plane curve F at P (order of vanishing of the
     translated chart equation)."""
-    vars = F.vars
-    i = next(i for i, c in enumerate(P.coords) if not c.is_zero())
-    inv = P.coords[i].inv()
-    f = F.set_var(vars[i], F.field.one).drop_vars([vars[i]])
-    coords = [P.coords[j] * inv for j in range(len(vars)) if j != i]
+    f, coords = P.affine(F)
     return max(f.translate(coords).min_total_degree(), 0)
 
 

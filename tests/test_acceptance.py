@@ -1,23 +1,16 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
-line with its runtime.  Every tolerance is exact; the time limits are the
-stated budgets."""
+line with its runtime.  Criteria 1-13 run the checks of the report
+(``cli.CHECKS``) by check id, as ``k3pencil all`` does with the series
+order 50, and compare each record's status and details with the values
+stated here.  Every tolerance is exact; the time limits are the stated
+budgets."""
 
 import random
 import time
-from fractions import Fraction
-from math import comb
 
 import pytest
 
-from k3pencil import QQ, QS
-from k3pencil.cover import (
-    BranchConfig,
-    REFERENCE_LINE_MATRIX,
-    generic_lines,
-    line_matrix,
-    verify_component_lift,
-)
-from k3pencil.identities import all_identity_checks
+from k3pencil import cli
 from k3pencil.lattice import (
     GramLattice,
     ade_chain,
@@ -28,34 +21,16 @@ from k3pencil.lattice import (
     standard_lattice,
     transpose,
 )
-from k3pencil.pencil import (
-    GENERIC_BRANCH_POINTS,
-    QUARTIC_SINGULAR_TABLE,
-    branch_cubic,
-    branch_sextic_at,
-    fiber_singular_table,
-    radical_quartic,
-)
-from k3pencil.picard import analyze_fiber, reflection_isomorphism_check
+from k3pencil.pencil import GENERIC_BRANCH_POINTS
 from k3pencil.series import (
-    annihilation_check,
     apery,
     apery_operator,
     domb,
     domb_operator,
     fermi_operator,
-    operator_singularities,
     operator_to_recurrence,
-    sum_a,
     theta_apply,
     PowerSeries,
-)
-from k3pencil.singular import (
-    ProjPoint,
-    double_cover_type,
-    milnor_ade_classify,
-    verify_curve_intersections,
-    verify_singular_locus,
 )
 
 
@@ -79,156 +54,195 @@ class Stopwatch:
         return False
 
 
-_CACHE: dict = {}
+_RECORDS: dict = {}
+_CHECK_FNS = {check_id: fn for _, _, check_id, fn in cli.CHECKS}
+
+
+def _run(*check_ids) -> list[dict]:
+    """The report records of the given checks, run in one ``cli.Run(50)``."""
+    run = cli.Run(50)
+    for check_id in check_ids:
+        _RECORDS[check_id] = cli.run_check(check_id, _CHECK_FNS[check_id], run)
+    return [_RECORDS[check_id] for check_id in check_ids]
+
+
+def _status(record: dict, status: str = "pass") -> dict:
+    """The record's details, once its status is the expected one."""
+    assert record["status"] == status, (record["check_id"], record["details"])
+    return record["details"]
+
+
+def _types(details: dict) -> list[tuple[str, str]]:
+    return [(row["point"], row["type"]) for row in details["rows"]]
 
 
 @pytest.fixture(scope="module")
-def generic_fiber():
-    if "generic" not in _CACHE:
-        _CACHE["generic"] = analyze_fiber("generic")
-    return _CACHE["generic"]
+def picard_generic():
+    """The picard-generic record of criterion 5, run here if it did not run."""
+    return _RECORDS.get("picard-generic") or _run("picard-generic")[0]
 
 
 def test_criterion_01_quartic_singular_locus():
     with Stopwatch(1, 10, "quartic singular locus: 8 points, A3 x1, A2 x4, A1 x3"):
-        Q = radical_quartic()
-        pts = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
-        rep = verify_singular_locus(Q, pts)
-        assert rep.ok, rep.witness
-        types = []
-        for coords, claimed in QUARTIC_SINGULAR_TABLE:
-            P = ProjPoint(QQ, coords)
-            i = next(j for j, c in enumerate(P.coords) if not c.is_zero())
-            chart = Q.vars[i]
-            aff = Q.set_var(chart, QQ.one).drop_vars([chart])
-            pc = [P.coords[j] for j in range(4) if j != i]
-            got = milnor_ade_classify(aff, pc).k
-            assert got == claimed, (coords, claimed, got)
-            types.append(got)
-        assert sorted(types) == [1, 1, 1, 2, 2, 2, 2, 3]
-        assert len(QUARTIC_SINGULAR_TABLE) == 8
+        (rec,) = _run("quartic-singular-locus")
+        details = _status(rec)
+        assert details["complete"] is True and details["witness"] is None
+        assert _types(details) == [
+            ("(0 : 0 : 0 : 1)", "A3"),
+            ("(0 : 1 : 1 : 0)", "A2"),
+            ("(0 : 1 : -1 : 0)", "A2"),
+            ("(1 : 0 : 1 : 0)", "A2"),
+            ("(1 : 0 : -1 : 0)", "A2"),
+            ("(1 : 1 : 0 : 1)", "A1"),
+            ("(0 : 0 : 1 : 0)", "A1"),
+            ("(1 : -1 : 0 : 0)", "A1"),
+        ]
 
 
 def test_criterion_02_generic_branch_intersections():
     with Stopwatch(2, 10, "branch cubics meet in 4 points, mult (3,3,2,1), Bezout 9"):
-        g0, g1 = branch_cubic(0), branch_cubic(1)
-        claimed = [(ProjPoint(QS, c), m) for c, m in GENERIC_BRANCH_POINTS]
-        assert [m for _, m in claimed] == [3, 3, 2, 1]
-        assert sum(m for _, m in claimed) == 9
-        rep = verify_curve_intersections(g0, g1, claimed)
-        assert rep.ok, rep.witness
+        (rec,) = _run("branch-generic-intersections")
+        details = _status(rec)
+        assert details["witness"] is None
+        assert [(row["point"], row["multiplicity"]) for row in details["rows"]] == [
+            ("(1 : 0 : 0)", 3),
+            ("(0 : 1 : 0)", 3),
+            ("(1 : 1 : 2)", 2),
+            ("(1 : -1 : 0)", 1),
+        ]
+        assert details["bezout"] == 9
 
 
 def test_criterion_03_lifted_line_identities():
     with Stopwatch(3, 5, "all 8 lifted-line identities w^2 = G0*G1 mod line"):
-        cfg = BranchConfig.generic()
-        for ll in generic_lines():
-            ok, residual = verify_component_lift(ll, cfg)
-            assert ok, (ll.label, str(residual))
+        (rec,) = _run("component-lifts-generic")
+        rows = _status(rec)["rows"]
+        assert [(row["label"], row["ok"]) for row in rows] == [(f"L{i}", True) for i in range(1, 9)]
 
 
 def test_criterion_04_line_matrix():
     with Stopwatch(4, 5, "8x8 lifted-line matrix equals the reference matrix"):
-        cfg = BranchConfig.generic()
-        m = line_matrix(generic_lines(), cfg)
-        assert tuple(tuple(r) for r in m) == REFERENCE_LINE_MATRIX
+        (rec,) = _run("line-matrix-generic")
+        details = _status(rec)
+        assert details["matches_reference"] is True
+        assert details["matrix"] == [
+            [-2, 0, 0, 0, 0, 0, 0, 0],
+            [0, -2, 0, 0, 0, 0, 0, 0],
+            [0, 0, -2, 0, 0, 0, 0, 0],
+            [0, 0, 0, -2, 0, 1, 0, 1],
+            [0, 0, 0, 0, -2, 0, 1, 0],
+            [0, 0, 0, 1, 0, -2, 0, 1],
+            [0, 0, 0, 0, 1, 0, -2, 0],
+            [0, 0, 0, 1, 0, 1, 0, -2],
+        ]
 
 
 def test_criterion_05_generic_enumeration():
     with Stopwatch(5, 60, "128 assignments -> 4 survive; rank 19, (1,18), Z/12"):
-        res = analyze_fiber("generic")
-        _CACHE["generic"] = res
-        assert res.survivor_count == 4
-        assert res.picard.rank == 19
-        assert res.picard.signature[:2] == (1, 18)
-        assert res.picard.invariant_factors == (12,)
-        assert res.picard_match
-        assert res.picard_model == "U + E8(-1)^2 + <-12>"
+        (rec,) = _run("picard-generic")
+        details = _status(rec)
+        assert details["survivor_count"] == 4
+        assert details["rank"] == 19
+        assert details["signature"][:2] == [1, 18]
+        assert details["invariant_factors"] == [12]
+        assert details["model_match"] is True
+        assert details["model"] == "U + E8(-1)^2 + <-12>"
 
 
-def test_criterion_06_generic_transcendental(generic_fiber):
+def test_criterion_06_generic_transcendental(picard_generic):
     with Stopwatch(6, 1, "transcendental fingerprint matches U + <12>"):
-        t = generic_fiber.transcendental
-        assert t.rank == 3 and t.signature[:2] == (2, 1)
-        assert fingerprints_match(t, lattice_invariants(standard_lattice("U + <12>")))
+        details = _status(picard_generic)
+        assert details["transcendental_model"] == "U + <12>"
+        assert details["transcendental_match"] is True
 
 
 def test_criterion_07_fiber_s1():
     with Stopwatch(7, 60, "s=1: 7 singular points; U+E8(-1)^2+<-4>+<-2>; T = <2>+<4>"):
-        sex = branch_sextic_at(1)
-        table = fiber_singular_table(1)
-        assert len(table) == 7
-        rep = verify_singular_locus(sex, [ProjPoint(QQ, c) for c, _ in table])
-        assert rep.ok, rep.witness
-        for coords, k in table:
-            assert double_cover_type(sex, ProjPoint(QQ, coords)).k == k
-        res = analyze_fiber(1)
-        assert res.picard_match and res.transcendental_match
+        locus, picard = _run("fiber-s1-singular-locus", "picard-s1")
+        details = _status(locus)
+        assert details["complete"] is True
+        assert _types(details) == [
+            ("(1 : 0 : 0)", "A5"),
+            ("(0 : 1 : 0)", "A5"),
+            ("(1 : 1 : 2)", "A3"),
+            ("(1 : -1 : 0)", "A1"),
+            ("(1 : 0 : 1)", "A1"),
+            ("(0 : 1 : 1)", "A1"),
+            ("(1 : 1 : 1)", "A1"),
+        ]
+        details = _status(picard)
+        assert details["model"] == "U + E8(-1)^2 + <-4> + <-2>" and details["model_match"] is True
+        assert details["transcendental_model"] == "<2> + <4>" and details["transcendental_match"] is True
 
 
 def test_criterion_08_fiber_sm1():
     with Stopwatch(8, 60, "s=-1: 5 singular points; U+E8(-1)^2+<-12>+<-2>; T = <2>+<12>"):
-        sex = branch_sextic_at(-1)
-        table = fiber_singular_table(-1)
-        assert len(table) == 5
-        rep = verify_singular_locus(sex, [ProjPoint(QQ, c) for c, _ in table])
-        assert rep.ok, rep.witness
-        for coords, k in table:
-            assert double_cover_type(sex, ProjPoint(QQ, coords)).k == k
-        res = analyze_fiber(-1)
-        assert res.picard_match and res.transcendental_match
+        locus, picard = _run("fiber-s-1-singular-locus", "picard-s-1")
+        details = _status(locus)
+        assert details["complete"] is True
+        assert _types(details) == [
+            ("(1 : 0 : 0)", "A5"),
+            ("(0 : 1 : 0)", "A5"),
+            ("(1 : 1 : 2)", "A3"),
+            ("(1 : -1 : 0)", "A1"),
+            ("(0 : 0 : 1)", "A1"),
+        ]
+        details = _status(picard)
+        assert details["model"] == "U + E8(-1)^2 + <-12> + <-2>" and details["model_match"] is True
+        assert details["transcendental_model"] == "<2> + <12>" and details["transcendental_match"] is True
 
 
 def test_criterion_09_reflections():
     with Stopwatch(9, 10, "explicit reflections identify s=0 with s=1 and s=2 with s=-1"):
-        for pair in ((0, 1), (2, -1)):
-            rep = reflection_isomorphism_check(pair)
-            assert rep.ok and rep.matrix is not None
+        for rec, pair in zip(_run("reflection-s0-s1", "reflection-s2-s-1"), ([0, 1], [2, -1])):
+            details = _status(rec)
+            assert details["pair"] == pair
+            assert details["matrix"] == [["0", "-2", "2"], ["-2", "0", "2"], ["0", "0", "2"]]
 
 
 def test_criterion_10_apery():
     with Stopwatch(10, 1, "Apery: values, annihilation to 50, symbol roots 17 +- 12 sqrt(2)"):
-        assert [apery(n) for n in range(4)] == [1, 5, 73, 1445]
-        ok, _ = annihilation_check(apery_operator(), apery, 50)
-        assert ok
-        rep = operator_singularities(apery_operator())
-        assert rep.symbol_str == "x^2 - 34*x + 1"
-        assert rep.singular_points() == ["0", "17 + 12*sqrt(2)", "17 - 12*sqrt(2)", "inf"]
+        values, annihilation, points = _run("apery-sequence", "apery-annihilation", "apery-singular-points")
+        assert _status(values)["values"] == [1, 5, 73, 1445, 33001, 819005]
+        assert _status(annihilation) == {"order": 50, "first_fail": None}
+        details = _status(points)
+        assert details["symbol"] == "x^2 - 34*x + 1"
+        assert details["singular_points"] == ["0", "17 + 12*sqrt(2)", "17 - 12*sqrt(2)", "inf"]
 
 
 def test_criterion_11_domb():
     with Stopwatch(11, 1, "Domb: values, stated form flagged (b2 = 825/8), corrected passes"):
-        assert [domb(n) for n in range(5)] == [1, 6, 90, 1860, 44730]
-        for n in range(51):
-            assert domb(n) == comb(2 * n, n) * sum_a(n)
-        rec = operator_to_recurrence(domb_operator(False))
-        assert rec.predict(Fraction(1), 2)[2] == Fraction(825, 8)
-        ok, _ = annihilation_check(domb_operator(False), domb, 30)
-        assert not ok
-        ok, _ = annihilation_check(domb_operator(True), domb, 50)
-        assert ok
-        rep = operator_singularities(domb_operator(True))
-        assert rep.singular_points() == ["0", "1/4", "1/36", "inf"]
+        values, stated, corrected = _run("domb-sequence", "domb-stated-operator", "domb-corrected-operator")
+        assert _status(values)["values"] == [1, 6, 90, 1860, 44730]
+        details = _status(stated, "flagged")
+        assert details["predicted_b2"] == "825/8" and details["first_fail"] == 2
+        details = _status(corrected)
+        assert details["order"] == 50 and details["first_fail"] is None
+        assert details["singular_points"] == ["0", "1/4", "1/36", "inf"]
 
 
 def test_criterion_12_fermi():
     with Stopwatch(12, 1, "Fermi: stated form flagged; doubled middle term annihilates to 40"):
-        ok, bad = annihilation_check(fermi_operator(False), apery, 20, dilation=2)
-        assert not ok
-        ok, _ = annihilation_check(fermi_operator(True), apery, 40, dilation=2)
-        assert ok
-        ok_a, _ = annihilation_check(apery_operator(), apery, 40)
-        assert ok_a
+        stated, corrected = _run("fermi-stated-operator", "fermi-corrected-operator")
+        assert _status(stated, "flagged") == {"first_fail": 2}
+        assert _status(corrected) == {"order": 50, "first_fail": None, "pullback_coherent": True}
 
 
 def test_criterion_13_identities():
     with Stopwatch(13, 5, "identity suite: 6 identities, zero residuals"):
-        checks = all_identity_checks()
-        assert len(checks) == 6
-        for c in checks:
-            assert c.ok, c.id
-            if c.residual is not None:
-                assert c.residual.is_zero()
+        ids = [check_id for command, _, check_id, _ in cli.CHECKS if command == "identities"]
+        assert [_status(rec) for rec in _run(*ids)] == [
+            {"spot_value": "151/30"},
+            {"lhs_at_111_times_xyz": "4"},
+            {"minus_branch_via_sign_flip": True},
+            {
+                "denominator_at_(1,1)": "0",
+                "excluded_denominators": ["x*y + 1", "x^2*y + x*y^2 - 4*x*y + x + y"],
+                "z2_at_(2,1)": "1",
+            },
+            {"reciprocal_matches": True},
+            {"group_order": 48},
+        ]
 
 
 def _random_unimodular(n, rng, steps=6):

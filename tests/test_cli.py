@@ -6,9 +6,10 @@ import shlex
 
 import pytest
 
-from k3pencil import __version__, cli
+from k3pencil import __version__, cli, lattice
 from k3pencil.claims import CLAIMS, FLAGGED_CHECKS, render_markdown
 from k3pencil.cli import CHECKS, build_parser, main
+from k3pencil.singular import DEFAULT_JET_ORDER
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -113,15 +114,14 @@ def test_report_determinism(capsys):
     assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
 
 
-def test_report_header(capsys, monkeypatch):
-    monkeypatch.setenv("K3PENCIL_JET_ORDER", "7")
+def test_report_header(capsys):
     _, report = _report(capsys, ["series", "--op", "apery", "--n", "5"])
     header = report["header"]
     assert list(report)[:2] == ["schema", "header"]
     assert set(header) == {"version", "python", "jet_order", "total_ms"}
     assert header["version"] == __version__
     assert header["python"] == platform.python_version()
-    assert header["jet_order"] == 7
+    assert header["jet_order"] == DEFAULT_JET_ORDER
     assert isinstance(header["total_ms"], int)
     assert header["total_ms"] >= sum(c["runtime_ms"] for c in report["checks"])
 
@@ -194,14 +194,6 @@ def test_singularities_rejects_unknown_fibre(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_invalid_jet_order_exits_2(monkeypatch, capsys):
-    for value in ("abc", "2.5", "0", "-3"):
-        monkeypatch.setenv("K3PENCIL_JET_ORDER", value)
-        assert main(["identities", "--only", "symmetry-group-48"]) == 2
-        captured = capsys.readouterr()
-        assert "K3PENCIL_JET_ORDER" in captured.err and not captured.out
-
-
 # the part of stderr that locates the fault: the bad block, or the reason
 LATTICE_SPEC_ERRORS = {"U + <x>": "'<x>'", "U^x + <2>": "'U^x'", "<1>": "even lattice"}
 
@@ -244,6 +236,21 @@ def test_series_order_bound_in_parser(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["series", "--help"])
     assert f"0 to {cli.SERIES_ORDER_MAX}" in capsys.readouterr().out
+
+
+def test_lattice_rank_bound_exits_2_before_any_gram_matrix(monkeypatch, capsys):
+    # the rank is summed from the blocks alone: no Gram matrix is built
+    monkeypatch.setattr(lattice.GramLattice, "direct_sum", lambda *args: pytest.fail("a Gram matrix was built"))
+    bound = lattice.LATTICE_RANK_MAX
+    for spec in ("U^100000000000 + <2>", f"<2>^{bound} + <-2>"):
+        assert main(["lattice", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert f"exceeds the bound of {bound}" in captured.err and not captured.out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["lattice", "--help"])
+    assert f"at most {bound}" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert lattice.standard_lattice(f"E8^{bound // 8}").dim == bound
 
 
 def test_unwritable_out_exits_2_before_any_check(tmp_path, monkeypatch, capsys):

@@ -32,13 +32,6 @@ def test_projpoint_normalization():
         ProjPoint(QQ, (0, 0, 0))
 
 
-def test_weighted_point_equality():
-    # w has weight 3: scaling by 2 multiplies it by 8
-    p = ProjPoint(QQ, (2, 2, 2, 8), weights=(1, 1, 1, 3))
-    q = ProjPoint(QQ, (1, 1, 1, 1), weights=(1, 1, 1, 3))
-    assert p == q
-
-
 # -- milnor / A_k classification ------------------------------------------------
 
 
@@ -216,24 +209,3 @@ def test_non_homogeneous_rejected():
     f = parse_poly("x^2 + y", QQ, ("x", "y", "z"))
     with pytest.raises(ValueError):
         verify_singular_locus(f, [])
-
-
-def test_jet_order_env_override(monkeypatch):
-    import k3pencil.singular as sing
-
-    monkeypatch.setenv("K3PENCIL_JET_ORDER", "3")
-    # A3 needs kernel order 4, beyond a jet bound of 3
-    Q = radical_quartic()
-    aff = Q.set_var("v", QQ.one).drop_vars(["v"])
-    with pytest.raises(ValueError, match="jet order"):
-        milnor_ade_classify(aff, (0, 0, 0))
-    monkeypatch.delenv("K3PENCIL_JET_ORDER")
-    assert milnor_ade_classify(aff, (0, 0, 0)).k == 3
-
-
-def test_jet_order_env_validated(monkeypatch):
-    aff = radical_quartic().set_var("v", QQ.one).drop_vars(["v"])
-    for value in ("ten", "0"):
-        monkeypatch.setenv("K3PENCIL_JET_ORDER", value)
-        with pytest.raises(ValueError, match="K3PENCIL_JET_ORDER"):
-            milnor_ade_classify(aff, (0, 0, 0))

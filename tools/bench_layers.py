@@ -4,13 +4,16 @@ lattice-layer microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
-BASE_SRC and CHANGE_SRC are the ``src`` directories of the two checkouts.
-Each measurement runs in a fresh interpreter with that directory on
-PYTHONPATH; the two sides alternate, run by run, RUNS times, each run being
-one `k3pencil all` and one pass of the microbenchmarks.  A side whose
+BASE_SRC and CHANGE_SRC are the ``src`` directories of the two checkouts,
+best two clean ``git archive`` copies.  Each measurement runs in a fresh
+interpreter with that directory on PYTHONPATH and the side's own
+PYTHONPYCACHEPREFIX, empty when the script starts, so neither side reads
+byte code that the other side, or a test run in its checkout, left behind.
+The two sides alternate, run by run, RUNS times, each run being one
+`k3pencil all` and one pass of the microbenchmarks.  A side whose
 `k3pencil all` exits non-zero (a crash, or a check with status "fail")
 stops the script, so only passing reports are timed.  Reported per side,
-every microbenchmark as the median over the runs:
+every microbenchmark as its value in each run and their median:
 
 * ``all_wall_s``: wall time of ``python3 -m k3pencil.cli all``, every run
   and the median;
@@ -30,8 +33,10 @@ every microbenchmark as the median over the runs:
   ``disc_forms_isomorphic`` of its discriminant form against that of the
   Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
 
-``ratio`` is change over base for the medians and the microbenchmark.
-Standard library only.
+``ratio_change_over_base`` is change over base of the medians.  For the
+wall time and each microbenchmark it is ``{"ratio": r, "unresolved": u}``
+with u true when the ranges of the two sides' runs overlap: the runs then
+do not tell the two sides apart.  Standard library only.
 """
 
 from __future__ import annotations
@@ -123,18 +128,18 @@ def lattice_micro() -> dict:
     return {op: _us_per_call(calls[op]) for op in LATTICE_OPS}
 
 
-def _env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0")
+def _env(src: str, cache: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=cache)
 
 
-def run_all(src: str) -> tuple[float, dict]:
+def run_all(src: str, cache: str) -> tuple[float, dict]:
     """Wall seconds of one passing `k3pencil all` and its checks' runtime_ms."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "all.json")
         t0 = time.perf_counter()
         subprocess.run(
             [sys.executable, "-m", "k3pencil.cli", "all", "--out", out],
-            env=_env(src), stdout=subprocess.DEVNULL, check=True,
+            env=_env(src, cache), stdout=subprocess.DEVNULL, check=True,
         )
         wall = time.perf_counter() - t0
         with open(out) as fh:
@@ -142,37 +147,47 @@ def run_all(src: str) -> tuple[float, dict]:
     return wall, {c["check_id"]: c["runtime_ms"] for c in report["checks"]}
 
 
-def run_micro(src: str) -> dict:
+def run_micro(src: str, cache: str) -> dict:
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--micro"],
-        env=_env(src), capture_output=True, text=True, check=True,
+        env=_env(src, cache), capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
 
-def _median(runs: list):
-    """The median of each leaf over a list of equally shaped nested dicts."""
+def _median(runs: list, keep_runs: bool = False):
+    """The median of each leaf over a list of equally shaped nested dicts;
+    with keep_runs, each leaf is {"runs": [...], "median": m}."""
     if isinstance(runs[0], dict):
-        return {key: _median([run[key] for run in runs]) for key in runs[0]}
-    return statistics.median(runs)
+        return {key: _median([run[key] for run in runs], keep_runs) for key in runs[0]}
+    return {"runs": runs, "median": statistics.median(runs)} if keep_runs else statistics.median(runs)
+
+
+def _ratio(base: dict, change: dict) -> dict:
+    """Change over base of the medians of two {"runs", "median"} leaves,
+    unresolved when the ranges of their runs overlap."""
+    overlap = min(change["runs"]) <= max(base["runs"]) and min(base["runs"]) <= max(change["runs"])
+    return {"ratio": round(change["median"] / base["median"], 3), "unresolved": overlap}
 
 
 def measure(sides: dict) -> dict:
     walls = {name: [] for name in sides}
     checks = {name: [] for name in sides}
     micros = {name: [] for name in sides}
-    for _ in range(RUNS):
-        for name, src in sides.items():
-            wall, ms = run_all(src)
-            walls[name].append(round(wall, 3))
-            checks[name].append(ms)
-            micros[name].append(run_micro(src))
+    with tempfile.TemporaryDirectory() as tmp:
+        caches = {name: os.path.join(tmp, name) for name in sides}
+        for _ in range(RUNS):
+            for name, src in sides.items():
+                wall, ms = run_all(src, caches[name])
+                walls[name].append(round(wall, 3))
+                checks[name].append(ms)
+                micros[name].append(run_micro(src, caches[name]))
     out = {}
     for name in sides:
         out[name] = {
-            "all_wall_s": {"runs": walls[name], "median": statistics.median(walls[name])},
+            "all_wall_s": _median(walls[name], keep_runs=True),
             "check_runtime_ms": _median(checks[name]),
-            **_median(micros[name]),
+            **_median(micros[name], keep_runs=True),
         }
     return out
 
@@ -195,20 +210,16 @@ def main() -> None:
     sides = measure({"base": args.base, "change": args.change})
     base, change = sides["base"], sides["change"]
     ratio = {
-        "all_wall_s": round(change["all_wall_s"]["median"] / base["all_wall_s"]["median"], 3),
+        "all_wall_s": _ratio(base["all_wall_s"], change["all_wall_s"]),
         "check_runtime_ms_sum": round(
             sum(change["check_runtime_ms"].values()) / sum(base["check_runtime_ms"].values()), 3
         ),
         "coefficient_us": {
-            f: {op: round(change["coefficient_us"][f][op] / base["coefficient_us"][f][op], 3) for op in OPS}
+            f: {op: _ratio(base["coefficient_us"][f][op], change["coefficient_us"][f][op]) for op in OPS}
             for f in FIELDS
         },
-        "polyops_us": {
-            op: round(change["polyops_us"][op] / base["polyops_us"][op], 3) for op in POLYOPS_OPS
-        },
-        "lattice_us": {
-            op: round(change["lattice_us"][op] / base["lattice_us"][op], 3) for op in LATTICE_OPS
-        },
+        "polyops_us": {op: _ratio(base["polyops_us"][op], change["polyops_us"][op]) for op in POLYOPS_OPS},
+        "lattice_us": {op: _ratio(base["lattice_us"][op], change["lattice_us"][op]) for op in LATTICE_OPS},
     }
     report = {
         "command": "python3 tools/bench_layers.py BASE_SRC CHANGE_SRC",
