@@ -231,8 +231,8 @@ def _zquo(a: tuple, b: tuple) -> tuple:
     """a/b in Z[t] for b != 0; ValueError unless b divides a there.  Every
     caller divides exactly: in RatFunc b is a primitive gcd dividing a in
     QQ[t], so the quotient is in Z[t] by Gauss's lemma; in
-    polyops._bareiss_det_int b is the previous pivot, not primitive, and
-    divides by Sylvester's determinant identity."""
+    polyops._subresultant b is g*h^delta or a power of h, not primitive,
+    and divides by the subresultant theorem."""
     if b == _ONE:
         return a
     r = list(a)

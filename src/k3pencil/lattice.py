@@ -255,11 +255,15 @@ def standard_lattice(spec: str) -> GramLattice:
     rank = sum(base.dim * power for base, power in blocks)
     if rank > LATTICE_RANK_MAX:
         raise ValueError(f"lattice rank {rank} exceeds the bound of {LATTICE_RANK_MAX}")
-    out: Optional[GramLattice] = None
+    rows = [[0] * rank for _ in range(rank)]
+    labels: list[str] = []
     for base, power in blocks:
         for _ in range(power):
-            out = base if out is None else out.direct_sum(base)
-    return out
+            k = len(labels)
+            for i, row in enumerate(base.gram):
+                rows[k + i][k : k + base.dim] = row
+            labels.extend(base.labels)
+    return GramLattice.from_rows(rows, labels)
 
 
 def _split_sum(text: str) -> list[str]:

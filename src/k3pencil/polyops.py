@@ -1,6 +1,6 @@
 """Polynomial algorithms over the tower fields: univariate gcd, squarefree
-decomposition (Yun), Sylvester resultants with fraction-free elimination,
-rational substitution, and specialization of the pencil parameter.
+decomposition (Yun), resultants by the subresultant PRS, rational
+substitution, and specialization of the pencil parameter.
 
 The ring each routine runs on:
 
@@ -8,10 +8,13 @@ The ring each routine runs on:
   in Z[x] (QPoly.gcd); over QQ(s) and QQ(m) a coprimality certificate over
   QQ, else Euclid on FieldElement lists, as over QQ(sqrt(d)); quotients
   on FieldElement lists.
-* resultant: over QQ in at most one further variable y, Bareiss in Z[y]
-  on the int tuples of field.py; otherwise, QQ(s) included, on MPoly.
-* gcd_bivariate, substitute, specialize: MPoly and FieldElement
-  arithmetic.
+* resultant: the subresultant PRS (_subresultant), exact by the
+  subresultant theorem, on Z[y] tuples of field.py over QQ in at most one
+  further variable y, otherwise, QQ(s) included, on MPoly; its test oracle
+  is the Sylvester determinant.
+* gcd_bivariate: a primitive PRS in y on MPoly coefficients, with the
+  pseudo-remainder _prem of the resultant.
+* substitute, specialize: MPoly and FieldElement arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ def _trim(cs: list) -> list:
     while cs and cs[-1].is_zero():
         cs.pop()
     return cs
+
+
+def _dl_mul(a: list, b: list, zero) -> list:
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca.is_zero():
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+    return out
 
 
 def _dense_divmod(a: list, b: list, field: Field) -> tuple[list, list]:
@@ -181,51 +195,26 @@ def squarefree_unit(p: MPoly) -> FieldElement:
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Resultant with respect to var: the Sylvester determinant, computed by
-    fraction-free (Bareiss) elimination over the remaining-variable ring.
-    Over QQ with at most one further variable y the entries are Z[y] tuples
-    (_resultant_dense), which is much faster; every other case runs the
-    MPoly Bareiss _bareiss_det."""
+    """Resultant with respect to var, by the subresultant PRS (_subresultant)
+    over the ring of the remaining variables.  Over QQ with at most one
+    further variable y that ring is Z[y] on the int tuples of field.py
+    (_resultant_dense), which is much faster; every other case, QQ(s)
+    included, runs on MPoly coefficients."""
     p, q = MPoly.common(p, q)
     m, n = p.degree_in(var), q.degree_in(var)
     if m <= 0 or n <= 0:
         raise ValueError("resultant requires positive degree in the variable")
-    other = set()
-    for poly in (p, q):
-        for e, _ in poly.terms.items():
-            for i, k in enumerate(e):
-                if k and poly.vars[i] != var:
-                    other.add(poly.vars[i])
+    other = [v for v in p.vars if v != var and max(p.degree_in(v), q.degree_in(v)) > 0]
     if p.field == QQ and len(other) <= 1:
-        return _resultant_dense(p, q, var, other.pop() if other else None)
-    zero = MPoly.zero(p.field, p.vars)
-    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
-    rows = _sylvester_rows(
-        [pc.get(k, zero) for k in range(m + 1)], [qc.get(k, zero) for k in range(n + 1)], zero
-    )
-    return _bareiss_det(rows, p.field, p.vars)
-
-
-def _sylvester_rows(pc: list, qc: list, empty) -> list[list]:
-    """Sylvester matrix of two polynomials given by their coefficient lists
-    (index = power of the eliminated variable, leading entry nonzero)."""
-    m, n = len(pc) - 1, len(qc) - 1
-    rows = []
-    for cs, shifts in ((pc, n), (qc, m)):
-        d = len(cs) - 1
-        for i in range(shifts):
-            row = [empty] * (m + n)
-            for k, c in enumerate(cs):
-                row[i + d - k] = c
-            rows.append(row)
-    return rows
+        return _resultant_dense(p, q, var, other[0] if other else None)
+    return _subresultant(_dense_in(p, var), _dense_in(q, var), _mpoly_ring(p.field, p.vars))
 
 
 def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPoly:
-    """Sylvester determinant over QQ with at most one further variable y,
-    entries in Z[y]: each polynomial is cleared by the lcm L of its
-    denominators, which scales each of its rows by L, so the integer
-    determinant is divided by Lp^n * Lq^m."""
+    """Resultant over QQ with at most one further variable y, coefficients
+    in Z[y]: each polynomial is cleared by the lcm L of its denominators.
+    The resultant is homogeneous of degree n in the coefficients of p and m
+    in those of q, so the integer resultant is divided by Lp^n * Lq^m."""
     iv = p.vars.index(var)
     io = p.vars.index(other) if other else None
 
@@ -241,82 +230,96 @@ def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPol
 
     (p_int, p_scale), (q_int, q_scale) = entries(p), entries(q)
     m, n = len(p_int) - 1, len(q_int) - 1
-    det = _bareiss_det_int(_sylvester_rows(p_int, q_int, ()))
     scale = p_scale ** n * q_scale ** m
-    terms = {}
-    for d, c in enumerate(det):
-        if c:
-            e = [0] * len(p.vars)
-            if io is not None:
-                e[io] = d
-            terms[tuple(e)] = QQ.from_rat(Fraction(c, scale))
-    return MPoly(QQ, p.vars, terms)
+    res = [Fraction(c, scale) for c in _subresultant(p_int, q_int, _ZY_RING)]
+    return MPoly.from_dense(QQ, p.vars, other or var, res)
 
 
-def _bareiss_det_int(m: list[list[tuple]]) -> tuple:
-    """Bareiss determinant of a square matrix over Z[y], entries as trimmed
-    int tuples low -> high (the kernel of field.py).  Step k replaces a_ij
-    by (a_ij*a_kk - a_ik*a_kj)/p, p the previous pivot (1 at first).  By
-    Sylvester's determinant identity the result is a minor of the matrix, in
-    Z[y], so the division is exact (Bareiss 1968); _zquo raises otherwise."""
-    n = len(m)
-    if n == 0:
-        return _ONE
-    m = [list(row) for row in m]
+# A coefficient ring R of _prem and _subresultant: (zero, one, mul, sub, quo),
+# quo an exact division that raises when the quotient is not in R.  Z[y] on
+# the int tuples of field.py, and MPoly over one field and variable list.
+_ZY_RING = (
+    (), _ONE, lambda a, b: _zmul(a, b) if a and b else (), lambda a, b: _zlin(1, a, -1, b), _zquo
+)
+
+
+def _mpoly_ring(field: Field, vars) -> tuple:
+    return (MPoly.zero(field, vars), MPoly.const(field, vars, 1), MPoly.__mul__, MPoly.__sub__, MPoly.exact_div)
+
+
+def _dense_in(p: MPoly, var: str) -> list[MPoly]:
+    """Coefficients of p in var, low degree first, as MPolys in p's ring."""
+    cs, zero = p.coeffs_in(var), MPoly.zero(p.field, p.vars)
+    return [cs.get(k, zero) for k in range(p.degree_in(var) + 1)]
+
+
+def _prem(a: list, b: list, ring: tuple) -> list:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, of
+    coefficient lists over R (low degree first, b's leading entry nonzero),
+    trimmed; a itself when deg a < deg b (Knuth, TAOCP vol. 2, 4.6.1,
+    Algorithm R)."""
+    zero, _, mul, sub, _ = ring
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        r = [mul(lb, c) for c in r]
+        if top != zero:
+            for j in range(db):
+                r[k + j] = sub(r[k + j], mul(top, b[j]))
+    while r and r[-1] == zero:
+        r.pop()
+    return r
+
+
+def _subresultant(a: list, b: list, ring: tuple):
+    """Res(a, b) of two polynomials of positive degree, given by coefficient
+    lists over an integral domain R (low degree first, leading entries
+    nonzero), by Collins' subresultant PRS without content removal (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 3.3.7).
+
+    Each step replaces (a, b) by (b, prem(a, b) / (g * h^delta)), delta =
+    deg a - deg b, then sets g = lc(b) and h = g^delta / h^(delta - 1).  By
+    the subresultant theorem (Collins 1967; Brown and Traub 1971) every
+    remainder so divided is, up to sign, a subresultant of the inputs, a
+    determinant of entries of R, so each division by g * h^delta and each
+    h update is exact in R; quo raises otherwise, so a wrong step cannot
+    pass silently.  A zero remainder means a common factor of positive
+    degree, and the resultant is 0.  Otherwise the sequence ends in a
+    constant c after a of degree d, and Res = sign * c^d / h^(d - 1), the
+    sign (-1)^(deg a * deg b) gathered over the swap and every step.  The
+    test oracle is the Sylvester determinant, by Bareiss elimination."""
+    zero, one, mul, sub, quo = ring
+
+    def power(x, k):
+        out = one
+        for _ in range(k):
+            out = mul(out, x)
+        return out
+
     sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return ()
-            m[k], m[pivot] = m[pivot], m[k]
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if len(a) % 2 == 0 and len(b) % 2 == 0 else 1
+    g = h = one
+    while True:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
-        row_k, pk = m[k], m[k][k]
-        for i in range(k + 1, n):
-            row_i, mik = m[i], m[i][k]
-            for j in range(k + 1, n):
-                a, b = row_i[j], row_k[j]
-                num = _zlin(1, _zmul(a, pk) if a else (), -1, _zmul(mik, b) if mik and b else ())
-                row_i[j] = _zquo(num, prev)
-            row_i[k] = ()
-        prev = pk
-    det = m[n - 1][n - 1]
-    return tuple(-c for c in det) if sign < 0 else det
-
-
-def _dl_mul(a: list, b: list, zero) -> list:
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero():
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _bareiss_det(m: list[list[MPoly]], field: Field, vars) -> MPoly:
-    n = len(m)
-    if n == 0:
-        return MPoly.const(field, vars, 1)
-    sign = 1
-    prev = MPoly.const(field, vars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return MPoly.zero(field, vars)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MPoly.zero(field, vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+        r = _prem(a, b, ring)
+        if not r:
+            return zero
+        div = mul(g, power(h, delta))
+        a, b = b, (r if div == one else [quo(c, div) for c in r])
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = quo(power(g, delta), power(h, delta - 1))
+        if len(b) == 1:
+            d = len(a) - 1
+            res = quo(power(b[0], d), power(h, d - 1))
+            return res if sign > 0 else sub(zero, res)
 
 
 def substitute(
@@ -435,8 +438,9 @@ def specialize(obj, s0, alpha0: Optional[Fraction] = None):
 
 def gcd_bivariate(f: MPoly, g: MPoly, x: str, y: str) -> MPoly:
     """Gcd of polynomials in at most the two variables x, y over the
-    coefficient field, normalized monic in grlex.  Subresultant-free simple
-    pseudo-remainder sequence; inputs here are small (plane curves)."""
+    coefficient field, normalized monic in grlex.  Primitive
+    pseudo-remainder sequence in y over K[x]; inputs here are small (plane
+    curves)."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
@@ -462,24 +466,14 @@ def gcd_bivariate(f: MPoly, g: MPoly, x: str, y: str) -> MPoly:
     a, b = primitive_y(f), primitive_y(g)
     if a.degree_in(y) < b.degree_in(y):
         a, b = b, a
+    iy, ring = a.vars.index(y), _mpoly_ring(a.field, a.vars)
     while not b.is_zero() and b.degree_in(y) > 0:
-        r = _pseudo_rem(a, b, y)
+        rs = _prem(_dense_in(a, y), _dense_in(b, y), ring)
+        terms = {e[:iy] + (k,) + e[iy + 1 :]: c for k, ck in enumerate(rs) for e, c in ck.terms.items()}
+        r = MPoly(a.field, a.vars, terms)
         a, b = b, (primitive_y(r) if not r.is_zero() else r)
     if b.is_zero():
         return (a.monic() * cont).monic() if not cont.is_const() else primitive_y(a).monic()
     # non-constant common factor only via the content
     return cont.monic()
 
-
-def _pseudo_rem(a: MPoly, b: MPoly, y: str) -> MPoly:
-    da, db = a.degree_in(y), b.degree_in(y)
-    if da < db:
-        return a
-    lead = b.coeffs_in(y)[db]
-    r = a
-    yvar = MPoly.variable(a.field, a.vars, y)
-    while not r.is_zero() and r.degree_in(y) >= db:
-        dr = r.degree_in(y)
-        lr = r.coeffs_in(y)[dr]
-        r = r * lead - b * lr * yvar ** (dr - db)
-    return r

@@ -239,8 +239,16 @@ def test_series_order_bound_in_parser(capsys):
 
 
 def test_lattice_rank_bound_exits_2_before_any_gram_matrix(monkeypatch, capsys):
-    # the rank is summed from the blocks alone: no Gram matrix is built
-    monkeypatch.setattr(lattice.GramLattice, "direct_sum", lambda *args: pytest.fail("a Gram matrix was built"))
+    # the rank is summed from the blocks alone: no Gram matrix larger than
+    # one block is built
+    from_rows = lattice.GramLattice.from_rows
+
+    def guarded(rows, labels=None):
+        if len(rows) > 8:
+            pytest.fail("a Gram matrix was built")
+        return from_rows(rows, labels)
+
+    monkeypatch.setattr(lattice.GramLattice, "from_rows", staticmethod(guarded))
     bound = lattice.LATTICE_RANK_MAX
     for spec in ("U^100000000000 + <2>", f"<2>^{bound} + <-2>"):
         assert main(["lattice", "--spec", spec]) == 2

@@ -1,9 +1,10 @@
 """Differential property tests: each fast path of the elimination cascade
 against the exact path it replaces or the known answer.
 
-* integer Bareiss (resultants over QQ) vs the generic MPoly Bareiss, and
-  resultants over QQ(s) (the MPoly Bareiss) vs the QQ resultants of their
-  specializations;
+* resultants by the subresultant PRS, on Z[y] tuples (over QQ in x and
+  y) and on MPoly (over QQ(s), and over QQ in x, y, z), vs the test-local
+  Sylvester determinant by Bareiss elimination, and resultants over QQ(s)
+  vs the QQ resultants of their specializations;
 * gcds over QQ (the primitive PRS in Z[x]) vs the test-local Euclid on
   Fraction coefficients, and exact division in Z[t] (_zquo);
 * the QQ(s) and QQ(m) coprimality certificate in gcd_poly vs the Euclidean
@@ -37,7 +38,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from k3pencil import QQ, QS, QSA, MPoly, cover
+from k3pencil import QQ, QS, QSA, MPoly, cover, parse_poly
 from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
 from k3pencil.field import QPoly, RatFunc, _zmul, _zquo, quadratic_field
 from k3pencil.lattice import (
@@ -50,11 +51,8 @@ from k3pencil.lattice import (
 )
 from k3pencil.polyops import (
     COPRIME_TEST_POINTS,
-    _bareiss_det,
-    _bareiss_det_int,
     _coprime_by_specialization,
     _dense_gcd,
-    _sylvester_rows,
     gcd_poly,
     resultant,
     specialize,
@@ -77,7 +75,63 @@ rationals = st.one_of(
 )
 
 
-# -- integer Bareiss -----------------------------------------------------------
+# -- resultants by the subresultant PRS -----------------------------------------
+
+
+def sylvester_rows(pc: list, qc: list, empty) -> list[list]:
+    """Sylvester matrix of two polynomials given by their coefficient lists
+    (index = power of the eliminated variable, leading entry nonzero)."""
+    m, n = len(pc) - 1, len(qc) - 1
+    rows = []
+    for cs, shifts in ((pc, n), (qc, m)):
+        d = len(cs) - 1
+        for i in range(shifts):
+            row = [empty] * (m + n)
+            for k, c in enumerate(cs):
+                row[i + d - k] = c
+            rows.append(row)
+    return rows
+
+
+def bareiss_det(m: list[list[MPoly]], field, vars) -> MPoly:
+    """Fraction-free (Bareiss) determinant of a square matrix of MPolys:
+    step k replaces a_ij by (a_ij*a_kk - a_ik*a_kj)/p, p the previous pivot,
+    an exact division by Sylvester's determinant identity."""
+    m = [list(row) for row in m]
+    n = len(m)
+    if n == 0:
+        return MPoly.const(field, vars, 1)
+    sign = 1
+    prev = MPoly.const(field, vars, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot is None:
+                return MPoly.zero(field, vars)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = MPoly.zero(field, vars)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
+    """The resultant by its definition: the determinant of the Sylvester
+    matrix, by Bareiss elimination on MPoly entries."""
+    p, q = MPoly.common(p, q)
+    zero = MPoly.zero(p.field, p.vars)
+    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
+    rows = sylvester_rows(
+        [pc.get(k, zero) for k in range(p.degree_in(var) + 1)],
+        [qc.get(k, zero) for k in range(q.degree_in(var) + 1)],
+        zero,
+    )
+    return bareiss_det(rows, p.field, p.vars)
 
 
 def _poly_xy(coeffs: dict) -> MPoly:
@@ -89,37 +143,76 @@ poly_xy = st.dictionaries(
 ).map(_poly_xy)
 
 
+def _xy(text: str) -> MPoly:
+    return parse_poly(text, QQ, ("x", "y"))
+
+
 @SETTINGS
 @given(poly_xy, poly_xy)
 @example(_poly_xy({(2, 0): Fraction(1, 2), (0, 1): Fraction(3)}), _poly_xy({(2, 1): Fraction(2, 3), (0, 0): Fraction(1)}))
+# a defective PRS: prem(p, q) = y - x*y drops the x-degree from 3 to 1
+@example(_xy("x^4 + y"), _xy("x^3 + y"))
+# a common factor: the resultant is 0
+@example(_xy("(x - y)*(x + 1)"), _xy("(x - y)*(x^2 + 2)"))
+# deg p < deg q, both odd: the swap flips the sign
+@example(_xy("x + y"), _xy("x^3 + 2"))
+@example(_xy("y*x^3 + x - 1") * Fraction(1, 2), _xy("x^5 - y^2*x^2 + 3"))
+# linear inputs, constant leading coefficients
+@example(_xy("2*x + 3*y"), _xy("5*x - 1"))
 def test_integer_resultant_matches_generic_bareiss(p, q):
-    m, n = p.degree_in("x"), q.degree_in("x")
-    if m < 1 or n < 1:
+    # resultants over QQ in x and at most y: the subresultant PRS on Z[y]
+    # tuples against the Sylvester determinant
+    if p.degree_in("x") < 1 or q.degree_in("x") < 1:
         return
-    zero = MPoly.zero(QQ, p.vars)
-    pc, qc = p.coeffs_in("x"), q.coeffs_in("x")
-    rows = _sylvester_rows(
-        [pc.get(k, zero) for k in range(m + 1)], [qc.get(k, zero) for k in range(n + 1)], zero
-    )
-    assert resultant(p, q, "x") == _bareiss_det(rows, QQ, p.vars)
+    assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
 
 
-int_poly = st.lists(st.integers(-3, 3), max_size=3).map(
-    lambda cs: tuple(cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)])
+def _mpoly_strategy(field, vars, exps, coeff):
+    terms = st.dictionaries(exps, coeff, min_size=1, max_size=6)
+    return terms.map(lambda ts: MPoly(field, vars, {e: field.coerce(c) for e, c in ts.items()}))
+
+
+# pairs over QQ(s) in x, y and over QQ in x, y, z: the rings on which
+# resultant runs the subresultant PRS on MPoly coefficients
+poly_qs_xy = _mpoly_strategy(
+    QS, ("x", "y"), st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    st.builds(lambda a, b: QS.s() * a + b, small_int, rationals),
 )
+poly_xyz = _mpoly_strategy(
+    QQ, ("x", "y", "z"), st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)), rationals
+)
+mpoly_resultant_pairs = st.one_of(st.tuples(poly_qs_xy, poly_qs_xy), st.tuples(poly_xyz, poly_xyz))
+
+
+def _qs(text: str) -> MPoly:
+    return parse_poly(text, QS, ("x", "y"))
+
+
+def _xyz(text: str) -> MPoly:
+    return parse_poly(text, QQ, ("x", "y", "z"))
 
 
 @SETTINGS
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(int_poly, min_size=n, max_size=n), min_size=n, max_size=n)))
-@example([[(), (1,)], [(2,), ()]])
-@example([[(1,), (2,)], [(2,), (4,)]])
-def test_integer_bareiss_matches_generic_bareiss(matrix):
-    # arbitrary square matrices over Z[y], many zero entries: row swaps on
-    # zero pivots and singular matrices
-    vars = ("y",)
-    rows = [[MPoly.from_dense(QQ, vars, "y", ent) for ent in row] for row in matrix]
-    expected = _bareiss_det(rows, QQ, vars)
-    assert MPoly.from_dense(QQ, vars, "y", _bareiss_det_int(matrix)) == expected
+@given(mpoly_resultant_pairs)
+# defective PRS: the x-degree drops from 3 to 1, and from 4 to 1
+@example((_qs("x^4 + s*y"), _qs("x^3 + y")))
+@example((_xyz("x^5 + y*z"), _xyz("x^4 - z + y")))
+# common factors
+@example((_qs("(x - s*y)*(x + 1)"), _qs("(x - s*y)*(y*x^2 + s)")))
+@example((_xyz("(x - y + z)^2"), _xyz("(x - y + z)*(x + z)")))
+# deg p < deg q, both odd
+@example((_qs("s*x + y"), _qs("x^3 + s^2")))
+@example((_xyz("x^3 + y*z*x + 1"), _xyz("z*x^5 + y")))
+# linear inputs, constant leading coefficients
+@example((_qs("2*x + s*y"), _qs("5*x - s")))
+@example((_xyz("x + y"), _xyz("3*x - z")))
+def test_mpoly_resultant_matches_sylvester_determinant(pair):
+    # over QQ(s), and over QQ with two further variables, resultant runs
+    # the subresultant PRS on MPoly coefficients
+    p, q = pair
+    if p.degree_in("x") < 1 or q.degree_in("x") < 1:
+        return
+    assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
 
 
 # -- the QQ(s) and QQ(m) coprimality certificate -------------------------------
@@ -955,6 +1048,11 @@ def test_zquo_divides_exactly_or_raises():
     for a, b in [((1, 2, 1), (2,)), ((1, 0, 1), (1, 1)), ((3,), (1, 1)), ((2, 2), (2, 4))]:
         with pytest.raises(ValueError, match="inexact"):
             _zquo(a, b)
+
+
+int_poly = st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda cs: tuple(cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)])
+)
 
 
 @SETTINGS

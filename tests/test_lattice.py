@@ -43,6 +43,18 @@ def test_block_sum_rank_19_det_12():
     assert abs(L.det()) == 12
 
 
+def test_block_sum_is_the_successive_direct_sum():
+    # the one-fill block-diagonal Gram matrix and labels equal those of
+    # direct_sum applied block by block
+    blocks = ["U", "E8(-1)", "E8(-1)", "<-12>", "<2>", "<2>", "<2>"]
+    expected = standard_lattice(blocks[0])
+    for block in blocks[1:]:
+        expected = expected.direct_sum(standard_lattice(block))
+    L = standard_lattice("U + E8(-1)^2 + <-12> + <2>^3")
+    assert L == expected
+    assert L.labels == expected.labels and L.dim == 22
+
+
 def test_rank_one_blocks():
     L = standard_lattice("<2> + <4>")
     assert L.gram == ((2, 0), (0, 4))

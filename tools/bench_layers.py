@@ -25,8 +25,11 @@ every microbenchmark as its value in each run and their median:
   built only through the public constructors, so any two versions compare;
 * ``polyops_us``: microseconds per ``gcd_poly`` over QQ of two polynomials
   of degree 5 and 4 with rational coefficients and a common quadratic
-  factor, and per ``resultant`` in x over QQ(s) of two polynomials in x, y
-  of x-degree 2 and 3 (best of five timeit repeats);
+  factor, per ``resultant`` in x over QQ of two polynomials in x, y of
+  x-degree 5 and 4 with coefficients of degree at most 5 in y (the Z[y]
+  path, at the size of the singular-locus eliminations), and per
+  ``resultant`` in x over QQ(s) of two polynomials in x, y of x-degree 2
+  and 3 (best of five timeit repeats);
 * ``lattice_us``: microseconds per ``rank_int``, ``rank_signature`` and
   ``smith_normal_form`` on the Gram matrix of the first surviving sheet
   assignment of the generic fibre (23 x 23, rank 19), and per
@@ -52,11 +55,11 @@ import tempfile
 import time
 import timeit
 
-RUNS = 3
+RUNS = 7
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_int", "rank_signature", "smith_normal_form", "disc_forms_isomorphic")
-POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ(s)")
+POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 
 
 def _us_per_call(fn) -> float:
@@ -103,9 +106,20 @@ def polyops_micro() -> dict:
 
     a = parse_poly("(3*x^2 - 2*x + 5)*(7*x^3 + x - 4)", QQ, ("x",)) * F(1, 6)
     b = parse_poly("(3*x^2 - 2*x + 5)*(2*x^2 + 9*x - 1)", QQ, ("x",)) * F(-2, 35)
+    f = parse_poly(
+        "(y^2 - 3)*x^5 + (2*y^3 + y)*x^4 - (y^5 - 4*y + 1)*x^3 + 7*y^4*x^2 + (y^3 - 2*y^2 + 5)*x + y^5 - 6*y",
+        QQ, ("x", "y"),
+    ) * F(1, 3)
+    g = parse_poly(
+        "3*y*x^4 + (y^4 - 2)*x^3 - (5*y^5 + y)*x^2 + (2*y^2 - 7)*x + y^4 + 3*y^3 - 1", QQ, ("x", "y")
+    ) * F(-2, 5)
     p = parse_poly("s*x^2 + (s - 1)*x*y + 2*y^2 + s^2", QS, ("x", "y"))
     q = parse_poly("x^3 - s*x*y + (s + 3)*y^2 - 1", QS, ("x", "y"))
-    calls = {"gcd_poly QQ": lambda: gcd_poly(a, b), "resultant QQ(s)": lambda: resultant(p, q, "x")}
+    calls = {
+        "gcd_poly QQ": lambda: gcd_poly(a, b),
+        "resultant QQ": lambda: resultant(f, g, "x"),
+        "resultant QQ(s)": lambda: resultant(p, q, "x"),
+    }
     return {op: _us_per_call(calls[op]) for op in POLYOPS_OPS}
 
 
