@@ -141,9 +141,7 @@ def _branch_generic_smooth(run):
     g0, g1 = run.branch_cubics
     r0 = verify_singular_locus(g0, [])
     r1 = verify_singular_locus(g1, [])
-    return r0.ok and r1.ok, {
-        "bad_parameter_values": sorted(set(r0.bad_parameter_values + r1.bad_parameter_values))
-    }
+    return r0.ok and r1.ok, {}
 
 
 def _branch_generic_intersections(run):

@@ -23,7 +23,7 @@ from .pencil import (
     reciprocal_pencil,
     surface_r,
 )
-from .singular import ProjPoint, multiplicity_at
+from .singular import ProjPoint, multiplicity_at, restrict_to_line
 
 #: Expected intersection matrix of the eight lifted lines on the generic
 #: fibre (diagonal -2 from adjunction).
@@ -122,27 +122,6 @@ def fiber_lines(s_value) -> list[LiftedLine]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_line(line: MPoly) -> tuple[str, MPoly]:
-    """Solve a degree-1 form for one variable: returns (var, image)."""
-    if line.total_degree() != 1:
-        raise ValueError("not a line")
-    coeffs = {v: line.coeffs_in(v).get(1) for v in line.vars}
-    for v in reversed(line.vars):
-        c = coeffs.get(v)
-        if c is not None and not c.is_zero():
-            rest = line.set_var(v, line.field.zero)
-            return v, rest * (-c.const_coeff().inv())
-    raise ValueError("degenerate line")
-
-
-def restrict_to_line(poly: MPoly, line: MPoly) -> tuple[MPoly, str]:
-    """Restriction of a form to a line (substituting out one variable);
-    returns the binary form and the eliminated variable."""
-    poly, line = MPoly.common(poly, line)
-    v, image = _solve_line(line)
-    return poly.set_var_poly(v, image), v
-
-
 #: The place s = 4/3, alpha = 2/3 at which ``even_contact_test`` first looks
 #: for odd contact: over QQ(m) it is the rational place m = alpha/s = 1/2,
 #: over QQ(s) the place s = 4/3.
@@ -189,19 +168,8 @@ def even_contact_test(line: MPoly, config: BranchConfig):
     restriction, gone = restrict_to_line(config.sextic, line)
     if restriction.is_zero():
         raise ValueError("line is a component of the branch sextic")
-    par_vars = [v for v in restriction.vars if restriction.degree_in(v) > 0]
+    u, v = [w for w in restriction.vars if w != gone]
     total = restriction.total_degree()
-    if len(par_vars) == 1:
-        # the restriction degenerated to a single monomial direction
-        u = par_vars[0]
-        exps = {e[restriction.vars.index(u)] for e in restriction.terms}
-        if len(exps) != 1:
-            raise ValueError("inhomogeneous restriction")
-        k = exps.pop()
-        even = (k % 2 == 0) and ((total - k) % 2 == 0)
-        q = MPoly.variable(restriction.field, restriction.vars, u) ** (k // 2)
-        return even, q, restriction.terms[next(iter(restriction.terms))]
-    u, v = par_vars
     if _odd_at_place(restriction, v):
         return False, None, None
     iu, iv = restriction.vars.index(u), restriction.vars.index(v)

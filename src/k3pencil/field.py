@@ -70,11 +70,6 @@ class QPoly:
         """Degree, with degree(0) = -1."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_one(self) -> bool:
         return self.coeffs == _ONE
 
@@ -85,19 +80,6 @@ class QPoly:
         return hash(self.coeffs)
 
     # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        return _qp(_zlin(1, self.coeffs, 1, other.coeffs))
-
-    def __neg__(self) -> "QPoly":
-        return _qp(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return _qp(_zlin(1, self.coeffs, -1, other.coeffs))
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        return _qp(_zmul(a, b) if a and b else ())
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """The gcd in Z[t] of two polynomials with integer coefficients:
@@ -122,9 +104,6 @@ class QPoly:
                 return _qp(b)
             a, b = b, _zprim(r)[1]
         return QP_ONE
-
-    def eval(self, x: Fraction) -> Fraction:
-        return _horner(self.coeffs, x)
 
     def __str__(self) -> str:
         return _poly_str(self.coeffs, "s")
@@ -421,20 +400,6 @@ class RatFunc:
             raise ZeroDivisionError("pole at specialization")
         return hp / hq
 
-    def reflect(self) -> "RatFunc":
-        """r(-t).  The reflection is a ring automorphism, so P(-t) and Q(-t)
-        stay primitive and coprime; only the signs of odd-degree leading
-        coefficients move into c."""
-        if not self.c:
-            return self
-        p, q = _zreflect(self.p.coeffs), _zreflect(self.q.coeffs)
-        c = self.c
-        if p[-1] < 0:
-            c, p = -c, tuple(-a for a in p)
-        if q[-1] < 0:
-            c, q = -c, tuple(-a for a in q)
-        return _rf(c, _qp(p), _qp(q))
-
     @property
     def num(self) -> QPoly:
         """Numerator of the reduced form with a monic denominator (for
@@ -447,11 +412,6 @@ class RatFunc:
         """The monic denominator (for display)."""
         lq = self.q.coeffs[-1]
         return _qp(tuple(Fraction(a, lq) for a in self.q.coeffs))
-
-    def monic_numerator(self) -> QPoly:
-        """P/lc(P): the numerator up to a rational factor, made monic."""
-        lp = self.p.coeffs[-1]
-        return _qp(tuple(Fraction(a, lp) for a in self.p.coeffs))
 
     def __str__(self) -> str:
         num, den = self.num, self.den
@@ -758,15 +718,6 @@ class FieldElement:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> "FieldElement":
-        """alpha -> -alpha, which is m -> -m over QQ(m)."""
-        f, v = self.field, self.v
-        if f.kind is _QUAD:
-            return FieldElement(f, (v[0], -v[1]))
-        if f.param == "m":
-            return FieldElement(f, v.reflect())
-        return self
 
     def _in_s(self) -> tuple[RatFunc, RatFunc]:
         """(a, b) with self = a + b*alpha and a, b in QQ(s) or QQ."""

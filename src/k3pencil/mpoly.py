@@ -118,29 +118,26 @@ class MPoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: "MPoly") -> "MPoly":
+    def _ring(self, other) -> tuple["MPoly", "MPoly"]:
+        """self and other in one ring: a scalar becomes a constant of self's
+        ring, and two polynomials in the same variables go over the larger
+        of their fields (``MPoly.common``).  ValueError on a variable
+        mismatch or on fields neither of which contains the other."""
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return self, MPoly.const(self.field, self.vars, other)
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        if self.field != other.field:
-            if self.field.contains(other.field):
-                return other.to_field(self.field)
-            if other.field.contains(self.field):
-                raise _Promote(other)
-            raise ValueError("incompatible coefficient fields")
-        return other
+        if other.field is self.field:
+            return self, other
+        return MPoly.common(self, other)
 
     def __add__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = MPoly.const(self.field, self.vars, other)
-        try:
-            other = self._check(other)
-        except _Promote as p:
-            return self.to_field(p.poly.field) + p.poly
-        out = dict(self.terms)
-        z = self.field.zero
-        for e, c in other.terms.items():
+        p, q = self._ring(other)
+        out = dict(p.terms)
+        z = p.field.zero
+        for e, c in q.terms.items():
             out[e] = out.get(e, z) + c
-        return MPoly(self.field, self.vars, out)
+        return MPoly(p.field, p.vars, out)
 
     def __radd__(self, other) -> "MPoly":
         return self + other
@@ -149,8 +146,6 @@ class MPoly:
         return MPoly(self.field, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = MPoly.const(self.field, self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "MPoly":
@@ -162,20 +157,17 @@ class MPoly:
             if c.is_zero():
                 return MPoly.zero(self.field, self.vars)
             return MPoly(self.field, self.vars, {e: k * c for e, k in self.terms.items()})
-        try:
-            other = self._check(other)
-        except _Promote as p:
-            return self.to_field(p.poly.field) * p.poly
+        p, q = self._ring(other)
         out: Dict[Exponent, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod = c1 * c2
                 if e in out:
                     out[e] = out[e] + prod
                 else:
                     out[e] = prod
-        return MPoly(self.field, self.vars, out)
+        return MPoly(p.field, p.vars, out)
 
     def __rmul__(self, other) -> "MPoly":
         return self * other
@@ -203,14 +195,12 @@ class MPoly:
 
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact multivariate division; raises ValueError when it fails."""
-        other = self._check(other)
+        rem, other = self._ring(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
+        field, vars = rem.field, rem.vars
         le, lc = other.leading()
         lc_inv = lc.inv()
-        rem = self
         q: Dict[Exponent, FieldElement] = {}
         while not rem.is_zero():
             re, rc = rem.leading()
@@ -219,8 +209,8 @@ class MPoly:
                 raise ValueError("exact division failed")
             qc = rc * lc_inv
             q[qe] = qc
-            rem = rem - MPoly(self.field, self.vars, {qe: qc}) * other
-        return MPoly(self.field, self.vars, q)
+            rem = rem - MPoly(field, vars, {qe: qc}) * other
+        return MPoly(field, vars, q)
 
     # -- calculus and substitution ---------------------------------------
 
@@ -301,11 +291,12 @@ class MPoly:
         return MPoly(self.field, self.vars, out)
 
     def set_var_poly(self, var: str, image: "MPoly") -> "MPoly":
-        """Substitute a single variable by a polynomial in the same ring."""
-        image = self._check(image)
-        i = self.vars.index(var)
-        out = MPoly.zero(self.field, self.vars)
-        cache: dict[int, MPoly] = {0: MPoly.const(self.field, self.vars, 1)}
+        """Substitute a single variable by a polynomial in the same variables,
+        over the larger of the two fields."""
+        poly, image = self._ring(image)
+        i = poly.vars.index(var)
+        out = MPoly.zero(poly.field, poly.vars)
+        cache: dict[int, MPoly] = {0: MPoly.const(poly.field, poly.vars, 1)}
 
         def power(k: int) -> MPoly:
             if k not in cache:
@@ -316,11 +307,11 @@ class MPoly:
                     cache[j + 1] = p
             return cache[k]
 
-        for e, c in self.terms.items():
+        for e, c in poly.terms.items():
             ne = list(e)
             k = ne[i]
             ne[i] = 0
-            mono = MPoly(self.field, self.vars, {tuple(ne): c})
+            mono = MPoly(poly.field, poly.vars, {tuple(ne): c})
             out = out + (mono * power(k) if k else mono)
         return out
 
@@ -482,14 +473,6 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
-
-
-class _Promote(Exception):
-    """Internal: signals that the left operand must be lifted to the right
-    operand's (larger) coefficient field."""
-
-    def __init__(self, poly: MPoly):
-        self.poly = poly
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ class DivisorConfig:
     chain_points: list
     lines: list
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
     def complete(self, bits: Sequence[int]) -> list[list[int]]:
         """The full Gram matrix of one sheet assignment: bit i sets the first
         (0) or the second (1) slot of ambiguous pair i to 1."""

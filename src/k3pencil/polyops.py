@@ -37,17 +37,6 @@ def _trim(cs: list) -> list:
     return cs
 
 
-def _dl_mul(a: list, b: list, zero) -> list:
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero():
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
 def _dense_divmod(a: list, b: list, field: Field) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("division by zero polynomial")

@@ -7,8 +7,7 @@ pairwise resultants of the partials bound the possible coordinates of
 solutions, gcds across several cascade orders strip extraneous factors, and
 candidate fibres are re-verified by exact substitution.  Over QQ(s) a
 nonzero eliminant that is constant in the curve variables certifies
-smoothness for generic s; its numerator records the finitely many bad
-parameter values.
+smoothness for generic s.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 
 from .field import Field, FieldElement
 from .mpoly import MPoly
-from .polyops import _dl_mul, _trim, gcd_bivariate, gcd_poly, resultant
+from .polyops import gcd_bivariate, gcd_poly, resultant
 
 #: The jet bound of the A_k classifier.
 DEFAULT_JET_ORDER = 10
@@ -92,7 +91,6 @@ class LocusReport:
     status: str                      # "complete" | "fail"
     verified: list = dc_field(default_factory=list)
     witness: Optional[str] = None
-    bad_parameter_values: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -243,19 +241,15 @@ def _strip_candidate_roots(e: MPoly, var: str, values: Sequence[FieldElement]) -
 
 def certify_affine_solutions(
     system: list[MPoly], vars: Sequence[str], candidates: list[tuple]
-) -> tuple[bool, Optional[str], list[MPoly]]:
+) -> tuple[bool, Optional[str]]:
     """Certify that the common zero set of the system (over the algebraic
-    closure) is contained in the candidate list.  Returns (ok, witness,
-    constant_eliminants); the latter collects eliminants that landed in the
-    coefficient field, whose numerators carry the bad parameter values."""
-    field = system[0].field
-    consts: list[MPoly] = []
+    closure) is contained in the candidate list.  Returns (ok, witness)."""
     nonzero = [p for p in system if not p.is_zero()]
     if not nonzero:
-        return False, "system is identically zero", consts
+        return False, "system is identically zero"
     if any(p.is_const() for p in nonzero):
         # a nonzero constant equation: no solutions at all
-        return True, None, [p for p in nonzero if p.is_const()]
+        return True, None
     if len(vars) == 1:
         g = None
         for p in nonzero:
@@ -264,13 +258,12 @@ def certify_affine_solutions(
                 break
         if g.is_const():
             if candidates:
-                return False, "claimed point in an empty fibre", consts
-            consts.append(g)
-            return True, None, consts
+                return False, "claimed point in an empty fibre"
+            return True, None
         rest = _strip_candidate_roots(g, vars[0], [c[0] for c in candidates])
         if rest.total_degree() > 0:
-            return False, f"unaccounted factor in {vars[0]}: {rest}", consts
-        return True, None, consts
+            return False, f"unaccounted factor in {vars[0]}: {rest}"
+        return True, None
     # lazily sharpen the eliminant over several elimination orders: junk
     # factors from one resultant cascade rarely survive a second order
     e: Optional[MPoly] = None
@@ -284,16 +277,15 @@ def certify_affine_solutions(
         e = e_new if e is None else gcd_poly(e, e_new)
         if e.is_const():
             if candidates:
-                return False, "constant eliminant despite claimed points", consts
-            consts.append(e)
-            return True, None, consts
+                return False, "constant eliminant despite claimed points"
+            return True, None
         rest = _strip_candidate_roots(e, vars[0], cand_vals)
         if rest.total_degree() <= 0:
             break
     if e is None:
-        return False, "all elimination orders degenerated", consts
+        return False, "all elimination orders degenerated"
     if rest is not None and rest.total_degree() > 0:
-        return False, f"unaccounted factor in {vars[0]}: {rest}", consts
+        return False, f"unaccounted factor in {vars[0]}: {rest}"
     fibres: dict = {}
     for cand in candidates:
         fibres.setdefault(cand[0].sort_key(), (cand[0], []))[1].append(cand[1:])
@@ -301,12 +293,11 @@ def certify_affine_solutions(
         restricted = [p.set_var(vars[0], a) for p in nonzero]
         restricted = [p for p in restricted if not p.is_zero()]
         if not restricted:
-            return False, f"fibre {vars[0]} = {a} is positive-dimensional", consts
-        ok, witness, sub_consts = certify_affine_solutions(restricted, vars[1:], rest_cands)
-        consts.extend(sub_consts)
+            return False, f"fibre {vars[0]} = {a} is positive-dimensional"
+        ok, witness = certify_affine_solutions(restricted, vars[1:], rest_cands)
         if not ok:
-            return False, f"fibre {vars[0]} = {a}: {witness}", consts
-    return True, None, consts
+            return False, f"fibre {vars[0]} = {a}: {witness}"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +321,6 @@ def verify_singular_locus(F: MPoly, candidates: Sequence[ProjPoint]) -> LocusRep
         for dF in partials:
             if not dF.evaluate(vals).is_zero():
                 return LocusReport("fail", witness=f"partials do not vanish at {P}")
-    report = LocusReport("complete", verified=list(candidates))
     for chart_i, chart_var in enumerate(vars):
         chart_vars = vars[:chart_i] + vars[chart_i + 1 :]
         system = [p.dehomogenize(chart_var) for p in system_polys]
@@ -342,24 +332,10 @@ def verify_singular_locus(F: MPoly, candidates: Sequence[ProjPoint]) -> LocusRep
                 chart_cands.append(
                     tuple(P.coords[j] * inv for j in range(len(vars)) if j != chart_i)
                 )
-        ok, witness, consts = certify_affine_solutions(system, chart_vars, chart_cands)
+        ok, witness = certify_affine_solutions(system, chart_vars, chart_cands)
         if not ok:
             return LocusReport("fail", witness=f"chart {chart_var} = 1: {witness}")
-        for c in consts:
-            bad = _bad_parameter_values(c)
-            if bad:
-                report.bad_parameter_values.append(bad)
-    report.bad_parameter_values = sorted(set(report.bad_parameter_values))
-    return report
-
-
-def _bad_parameter_values(const_poly: MPoly) -> Optional[str]:
-    """Numerator of a constant-in-the-variables eliminant over QQ(s); its
-    roots are the parameter values where genericity may fail."""
-    c = const_poly.const_coeff()
-    if c.field.param == "s" and not c.v.is_const():
-        return str(c.v.monic_numerator())
-    return None
+    return LocusReport("complete", verified=list(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -585,43 +561,47 @@ def _fulton_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     return _imult_origin(f, g)
 
 
-def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
-    """I_P(F, L) for a line L, as ord_{t=0} F(P + t Q) (Fulton, Algebraic
-    Curves, section 3.3).
+def _solve_line(line: MPoly) -> tuple[str, MPoly]:
+    """Solve a degree-1 form for one variable: returns (var, image)."""
+    if line.total_degree() != 1:
+        raise ValueError("not a line")
+    coeffs = {v: line.coeffs_in(v).get(1) for v in line.vars}
+    for v in reversed(line.vars):
+        c = coeffs.get(v)
+        if c is not None and not c.is_zero():
+            rest = line.set_var(v, line.field.zero)
+            return v, rest * (-c.const_coeff().inv())
+    raise ValueError("degenerate line")
 
-    On the chart x_i = 1 of P (``ProjPoint.affine``), Q is the point of L
-    with x_i = 0: (l_k, -l_j) on the other two coordinates x_j, x_k of
-    L = l_i x_i + l_j x_j + l_k x_k.  Sound because a line is nonsingular at
-    each of its points, where I_P(F, L) = ord_P^L(F), the order of F in the
-    discrete valuation ring of L at P; t -> P + t Q with Q != P on L is a
-    uniformizing parameter there, and on the chart x_i = 1 + t Q_i = 1 the
-    restriction is the dehomogenized F on L, as the Fulton reduction sees
-    it.  A restriction that is identically zero means F vanishes on L, so L
-    is a component of F."""
-    field, zero = F.field, F.field.zero
-    f, (a, b) = P.affine(F)
-    line, point = P.affine(L)
-    if not line.evaluate(point).is_zero():
+
+def restrict_to_line(poly: MPoly, line: MPoly) -> tuple[MPoly, str]:
+    """Restriction of a form to a line (substituting out one variable);
+    returns the binary form and the eliminated variable."""
+    poly, line = MPoly.common(poly, line)
+    v, image = _solve_line(line)
+    return poly.set_var_poly(v, image), v
+
+
+def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
+    """I_P(F, L) for a line L: the multiplicity at P of the restriction of F
+    to L (Fulton, Algebraic Curves, section 3.3).
+
+    ``restrict_to_line`` solves L for one coordinate, which it substitutes
+    out of F; the binary form R in the two kept coordinates is F on L.
+    Sound because a line is nonsingular at each of its points, where
+    I_P(F, L) = ord_P^L(F), the order of F in the discrete valuation ring
+    of L at P; the kept coordinates map L isomorphically onto P^1 (the
+    solved one is a linear form in them), so that order is the order of R
+    at the image of P, its multiplicity there.  A restriction that is
+    identically zero means F vanishes on L, so L is a component of F."""
+    if not L.evaluate(P.coords).is_zero():
         return 0
-    l_j, l_k = (line.terms.get(e, zero) for e in ((1, 0), (0, 1)))
-    bases = (_trim([a, l_k]), _trim([b, -l_j]))
-    powers = ([[field.one]], [[field.one]])
-    restriction: list = []
-    for e, c in f.terms.items():
-        term = [c]
-        for v, base in enumerate(bases):
-            cache = powers[v]
-            while len(cache) <= e[v]:
-                cache.append(_dl_mul(cache[-1], base, zero))
-            if e[v]:
-                term = _dl_mul(term, cache[e[v]], zero)
-        restriction += [zero] * (len(term) - len(restriction))
-        for d, x in enumerate(term):
-            restriction[d] = restriction[d] + x
-    order = next((d for d, x in enumerate(restriction) if not x.is_zero()), None)
-    if order is None:
+    R, gone = restrict_to_line(F, L)
+    if R.is_zero():
         raise ValueError("infinite intersection multiplicity: common component")
-    return order
+    i = R.vars.index(gone)
+    Q = ProjPoint(P.field, [c for j, c in enumerate(P.coords) if j != i])
+    return multiplicity_at(R.drop_vars([gone]), Q)
 
 
 def _ord_univar(p: MPoly) -> int:

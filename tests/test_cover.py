@@ -1,8 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from k3pencil import QQ, QSA, MPoly, cover
+from k3pencil import QQ, QSA, MPoly, cover, parse_poly
 from k3pencil.cover import (
     BranchConfig,
     REFERENCE_LINE_MATRIX,
@@ -40,7 +41,7 @@ def test_even_contact_all_lines(cfg, lines):
         flag, q, unit = even_contact_test(ll.line, cfg)
         assert flag, ll.label
         # certificate: restriction = unit * q^2
-        from k3pencil.cover import restrict_to_line
+        from k3pencil.singular import restrict_to_line
 
         restriction, _ = restrict_to_line(cfg.sextic, ll.line)
         assert (q * q * unit - restriction).is_zero()
@@ -71,6 +72,17 @@ def test_control_line_decided_at_the_place(cfg, monkeypatch):
     monkeypatch.setattr(cover, "squarefree_decomposition", over_qq_only)
     x, y, z = MPoly.gens(QSA, ("x", "y", "z"))
     assert even_contact_test(z - x - 2 * y, cfg) == (False, None, None)
+
+
+@pytest.mark.parametrize(
+    "sextic, q, unit", [("x^6", "x^3", 1), ("y^6", "y^3", 1), ("3*x^6", "x^3", 3)]
+)
+def test_even_contact_of_a_restriction_in_one_coordinate(sextic, q, unit):
+    # on the line z = 0 these restrictions involve one kept coordinate only
+    xyz = ("x", "y", "z")
+    config = SimpleNamespace(sextic=parse_poly(sextic, QQ, xyz))
+    z = MPoly.variable(QQ, xyz, "z")
+    assert even_contact_test(z, config) == (True, parse_poly(q, QQ, xyz), unit)
 
 
 def test_line_component_of_sextic_rejected():

@@ -497,6 +497,8 @@ points = st.lists(coeff_pairs, min_size=3, max_size=3)
 @example([(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], 3, [(1, 0)] * 6, [(1, 0)] * 10, False)
 @example([(1, 1), (2, 0), (1, 0)], [(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0), (3, 0)], 1, [(1, 0)] * 6, [(1, 0)] * 10, False)
 @example([(1, 1), (2, 0), (1, 0)], [(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0), (3, 0)], 2, [(2, 1)] * 6, [(-1, 1)] * 10, False)
+# L = x - z: the restriction keeps (x, y), and P = (0 : 1 : 0) has x = 0
+@example([(0, 0), (1, 0), (0, 0)], [(1, 0), (0, 0), (1, 0)], [(0, 0), (0, 0), (1, 0)], 2, [(1, 0)] * 6, [(1, 0)] * 10, False)
 def test_line_contact_matches_fulton(p, r, a, m, conic, rest, reducible):
     # the cubic L Q + A^m B through P, with A the line through P and a third
     # point: its contact with L at P is m or more (more where B(P) = 0), and
@@ -983,13 +985,12 @@ def test_integer_ratfunc_kernel_matches_fraction_euclid(pair):
         return acc
 
     assert x.eval(m0) == horner(ox.num) / horner(ox.den)
-    # QQ(s) -> QQ(m) by s = 1/(1 - m^2); conjugation m -> -m; the pair (a, b)
-    # over QQ(s) that an element of QQ(m) prints and sorts as
+    # QQ(s) -> QQ(m) by s = 1/(1 - m^2); the pair (a, b) over QQ(s) that an
+    # element of QQ(m) prints and sorts as
     xm = QSA.coerce(QS.from_ratfunc(x))
     oxm = _frac_s_to_m(ox)
     _assert_kernel_matches(xm.v, oxm)
     for elem, old in ((xm, oxm), (QSA.from_ratfunc(x), ox)):
-        _assert_kernel_matches(elem.conjugate().v, FracRatFunc(_frac_reflect(old.num), _frac_reflect(old.den)))
         assert (elem.sort_key(), str(elem)) == _frac_key_and_str(*_frac_m_to_s(old))
 
 

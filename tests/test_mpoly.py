@@ -1,6 +1,7 @@
 import pytest
 
 from k3pencil import QQ, QS, QSA, MPoly, parse_poly
+from k3pencil.field import quadratic_field
 
 
 def P(text, field=QQ, vars=("x", "y", "z")):
@@ -34,6 +35,30 @@ def test_exact_division_and_failure():
     assert p.exact_div(P("x - y")) == P("x + y")
     with pytest.raises(ValueError):
         p.exact_div(P("x + 1"))
+
+
+def test_operand_over_a_larger_field_promotes():
+    # every binary operation lifts the operand over the smaller field to the
+    # larger one, whichever side it is on; fields neither of which contains
+    # the other are a ValueError
+    x = P("x")
+    xs, ys, _ = MPoly.gens(QS, ("x", "y", "z"))
+    s = QS.s()
+    assert (x * x).exact_div(xs) == xs
+    assert (x * x).set_var_poly("x", ys * s) == ys * ys * s * s
+    assert x + xs == xs * 2 and xs + x == xs * 2
+    assert x * xs == xs * xs and xs * x == xs * xs
+    r = MPoly.variable(quadratic_field(2), ("x", "y", "z"), "x")
+    ops = (
+        lambda a, b: a + b,
+        lambda a, b: a * b,
+        lambda a, b: a.exact_div(b),
+        lambda a, b: a.set_var_poly("y", b),
+    )
+    for op in ops:
+        for a, b in ((r, xs), (xs, r)):
+            with pytest.raises(ValueError):
+                op(a, b)
 
 
 def test_homogenize_dehomogenize():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3pencil import QQ, QS, QSA, MPoly, parse_poly
-from k3pencil.cover import restrict_to_line
+from k3pencil.singular import restrict_to_line
 from k3pencil.pencil import branch_cubic, branch_sextic
 from k3pencil.polyops import (
     gcd_poly,
