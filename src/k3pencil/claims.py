@@ -200,23 +200,3 @@ FLAGGED_CHECKS = {
 def claim_ref(check_id: str) -> str:
     return CLAIMS[check_id][0]
 
-
-def render_markdown() -> str:
-    lines = [
-        "# Verified claims",
-        "",
-        "Every check emitted by the `k3pencil` CLI refers to one of the",
-        "claims below via its `claim_ref`.  Flagged checks record a verified",
-        "inconsistency in a commonly stated form, together with the",
-        "corrected form that the toolkit verifies.",
-        "",
-    ]
-    for check_id, (ref, text) in CLAIMS.items():
-        flag = " *(flagged)*" if check_id in FLAGGED_CHECKS else ""
-        lines.append(f"## `{ref}`{flag}")
-        lines.append("")
-        lines.append(f"Check id: `{check_id}`")
-        lines.append("")
-        lines.append(text)
-        lines.append("")
-    return "\n".join(lines)

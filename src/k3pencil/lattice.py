@@ -1,8 +1,8 @@
-"""Exact integral lattice engine: Gram matrices, ranks and determinants by
-one fraction-free integer elimination, signatures by a symmetric
-fraction-free elimination and Jacobi's sign rule, the Smith normal form
-(from which radical quotients, kernels and the dual generators of
-discriminant groups are read), finite quadratic forms, and the
+"""Exact integral lattice engine: Gram matrices, with two integer
+eliminations: a symmetric fraction-free elimination under Jacobi's sign
+rule for ranks, signatures and degeneracy, and the Smith normal form for
+bases and kernels (radical quotients and the dual generators of
+discriminant groups); finite quadratic forms, and the
 invariant-fingerprint comparison used to identify lattices up to the
 uniqueness theorems."""
 
@@ -43,59 +43,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)]
-
-
-def _bareiss_echelon(m: IntMatrix) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss 1968) row echelon elimination of an integer
-    matrix; a column with no nonzero entry left below the pivot rows is
-    skipped.  Returns the pivots and the sign of the row permutation.
-
-    After k pivots every entry of the rows below is the minor of m on the k
-    pivot rows and columns plus its own row and column, so each division by
-    the previous pivot is exact (Sylvester's identity) and the k-th pivot is a
-    nonzero k-minor.  Hence the number of pivots is the rank, and for a
-    square m of full rank the last pivot is the determinant of the
-    row-permuted matrix."""
-    a = [row[:] for row in m]
-    rows, cols = len(a), len(a[0]) if a else 0
-    pivots: list[int] = []
-    sign, prev = 1, 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        top = a[r]
-        p = top[c]
-        for i in range(r + 1, rows):
-            row = a[i]
-            f = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (row[j] * p - f * top[j]) // prev
-            row[c] = 0
-        pivots.append(p)
-        prev = p
-    return pivots, sign
-
-
-def rank_int(m: IntMatrix) -> int:
-    """Exact rank of an integer matrix: the pivot count of the Bareiss
-    elimination."""
-    return len(_bareiss_echelon(m)[0])
-
-
-def det_int(m: IntMatrix) -> int:
-    """Integer determinant of a square matrix, read off the Bareiss
-    elimination: the signed last pivot at full rank, else 0."""
-    pivots, sign = _bareiss_echelon(m)
-    if len(pivots) < len(m):
-        return 0
-    return sign * pivots[-1] if pivots else 1
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -211,18 +158,6 @@ class GramLattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.dim))
 
-    def det(self) -> int:
-        return det_int([list(r) for r in self.gram])
-
-    def direct_sum(self, other: "GramLattice") -> "GramLattice":
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(other.gram[i]))
-        return GramLattice.from_rows(rows, self.labels + other.labels)
-
 
 #: negated E8 Cartan matrix uses this Dynkin diagram adjacency
 _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
@@ -321,24 +256,17 @@ def _block_int(text: str, block: str) -> int:
         raise ValueError(f"malformed lattice block {block!r}; {_BLOCK_GRAMMAR}") from None
 
 
-def ade_chain(n: int) -> GramLattice:
-    """A_n chain lattice: the negated Cartan matrix."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -2
-        if i + 1 < n:
-            rows[i][i + 1] = rows[i + 1][i] = 1
-    return GramLattice.from_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
 
 
-def rank_signature(L: GramLattice) -> tuple[int, int, int, int]:
-    """(rank, n_plus, n_minus, n_zero) by a symmetric fraction-free (Bareiss)
-    elimination on ``int`` rows.
+def rank_signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
+    """(rank, n_plus, n_minus, n_zero) of the symmetric integer matrix with
+    these rows, by a symmetric fraction-free (Bareiss) elimination on
+    ``int`` rows.  It is the one rank computation of the package: the rank
+    filter of the Picard enumeration, degeneracy in ``lattice_invariants``
+    and every signature read it.
 
     Eliminating with the diagonal pivot a_kk is a congruence, and after k
     pivots every entry of the trailing block is the minor on the first k
@@ -352,10 +280,14 @@ def rank_signature(L: GramLattice) -> tuple[int, int, int, int]:
     minors transform like the entries: a symmetric swap with a later
     nonzero diagonal entry, or, when the whole trailing diagonal is zero,
     row_i += row_j and col_i += col_j for a nonzero a_ij, which makes
-    a_ii = 2 a_ij.  When the trailing block is zero the rank is the pivot
-    count, and Sylvester's law of inertia gives the signature."""
-    n = L.dim
-    a = [list(row) for row in L.gram]
+    a_ii = 2 a_ij.  So a zero diagonal never ends the elimination while a
+    trailing entry is nonzero; it ends when the trailing block is zero.
+    The matrix is then congruent over QQ to the r nonzero entries
+    p_(k+1) / p_k and n - r zeros, so the rank is exactly the pivot count r
+    on any symmetric integer matrix, and Sylvester's law of inertia gives
+    the signature."""
+    a = [list(row) for row in rows]
+    n = len(a)
     pos = neg = 0
     prev = 1
     for k in range(n):
@@ -490,7 +422,7 @@ def discriminant_group_form(L: GramLattice) -> LatticeInvariants:
     orders, cols = discriminant_generators(L)
     if not L.is_even():
         raise ValueError("discriminant form requires an even lattice")
-    rank, pos, neg, zero = rank_signature(L)
+    rank, pos, neg, zero = rank_signature(L.gram)
     gcols = mat_mul(L.gram, transpose(cols))
     pairs = [
         [Fraction(sum(x * g[j] for x, g in zip(c, gcols)), di * dj) for j, dj in enumerate(orders)]
@@ -503,14 +435,15 @@ def discriminant_group_form(L: GramLattice) -> LatticeInvariants:
 
 
 def lattice_invariants(L: GramLattice) -> LatticeInvariants:
-    """Invariants after passing to the radical quotient M when degenerate.
-    The form factors through L/rad, so by Sylvester's law of inertia L has
-    the signature of M plus dim L - dim M zeros."""
-    if L.det() != 0:
+    """Invariants after passing to the radical quotient M when degenerate,
+    that is when ``rank_signature`` counts a zero.  The form factors
+    through L/rad, so by Sylvester's law of inertia M has the signature of
+    L without its zeros, and L keeps its own."""
+    _, pos, neg, zero = rank_signature(L.gram)
+    if not zero:
         return discriminant_group_form(L)
-    M = radical_quotient(L)
-    inv = discriminant_group_form(M)
-    return replace(inv, signature=inv.signature[:2] + (L.dim - M.dim,))
+    inv = discriminant_group_form(radical_quotient(L))
+    return replace(inv, signature=(pos, neg, zero))
 
 
 # ---------------------------------------------------------------------------

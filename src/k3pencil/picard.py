@@ -33,7 +33,7 @@ from .lattice import (
     LatticeInvariants,
     fingerprints_match,
     lattice_invariants,
-    rank_int,
+    rank_signature,
     smith_normal_form,
     standard_lattice,
 )
@@ -225,12 +225,14 @@ def build_divisor_config(fiber: Union[str, int, Fraction]) -> DivisorConfig:
 def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20) -> FiberResult:
     """Run through all sheet assignments, keep those whose completed Gram
     matrix has rank at most the bound (the integer rank filter: the exact
-    rank of the Bareiss elimination, ``rank_int``), and extract the common
-    invariants of the survivors."""
+    rank of ``rank_signature``, read on the rows), and extract the common
+    invariants of the survivors.  The completions are symmetric by
+    construction, as ``DivisorConfig.complete`` sets both slots of each
+    pair."""
     completions = [
         (bits, config.complete(bits)) for bits in product((0, 1), repeat=len(config.ambiguous_pairs))
     ]
-    survivors = [(bits, m) for bits, m in completions if rank_int(m) <= rank_bound]
+    survivors = [(bits, m) for bits, m in completions if rank_signature(m)[0] <= rank_bound]
     if not survivors:
         raise ValueError("no assignment satisfies the rank bound")
     invs = []

@@ -660,12 +660,10 @@ def multiplicity_at(F: MPoly, P: ProjPoint) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_curve_intersections(
-    F: MPoly, G: MPoly, claimed: Sequence[tuple[ProjPoint, int]], elim_var: str = "z"
-) -> LocusReport:
+def verify_curve_intersections(F: MPoly, G: MPoly, claimed: Sequence[tuple[ProjPoint, int]]) -> LocusReport:
     """Certify that the claimed points with multiplicities are exactly the
     intersection of the plane curves F and G: each multiplicity is recomputed,
-    the total matches Bezout, and the eliminant factors exactly into the
+    the total matches Bezout, and the eliminant in z factors exactly into the
     claimed images -- so no further intersection points exist."""
     for P, m in claimed:
         if intersection_multiplicity(F, G, P) != m:
@@ -673,14 +671,12 @@ def verify_curve_intersections(
     degF, degG = F.total_degree(), G.total_degree()
     if sum(m for _, m in claimed) != degF * degG:
         return LocusReport("fail", witness="multiplicities do not add up to the Bezout number")
-    lcF = F.coeffs_in(elim_var).get(F.degree_in(elim_var))
-    lcG = G.coeffs_in(elim_var).get(G.degree_in(elim_var))
+    lcF = F.coeffs_in("z").get(F.degree_in("z"))
+    lcG = G.coeffs_in("z").get(G.degree_in("z"))
     if not (lcF is not None and lcF.is_const() and lcG is not None and lcG.is_const()):
-        return LocusReport("fail", witness=f"leading coefficient in {elim_var} is not constant")
-    elim = resultant(F, G, elim_var)
-    other = [v for v in F.vars if v != elim_var and elim.degree_in(v) >= 0]
-    rest = elim
-    xv, yv = [v for v in F.vars if v != elim_var]
+        return LocusReport("fail", witness="leading coefficient in z is not constant")
+    rest = resultant(F, G, "z")
+    xv, yv = [v for v in F.vars if v != "z"]
     x = MPoly.variable(F.field, F.vars, xv)
     y = MPoly.variable(F.field, F.vars, yv)
     iv_x, iv_y = F.vars.index(xv), F.vars.index(yv)

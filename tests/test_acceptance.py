@@ -13,7 +13,6 @@ import pytest
 from k3pencil import cli
 from k3pencil.lattice import (
     GramLattice,
-    ade_chain,
     fingerprints_match,
     lattice_invariants,
     mat_mul,
@@ -32,6 +31,8 @@ from k3pencil.series import (
     theta_apply,
     PowerSeries,
 )
+
+from gram_helpers import ade_chain
 
 
 class Stopwatch:
@@ -270,14 +271,14 @@ def test_criterion_14_property_suites():
         ]
         for spec in specs:
             L = standard_lattice(spec)
-            base = rank_signature(L)
+            base = rank_signature(L.gram)
             inv = lattice_invariants(L)
             A = [list(r) for r in L.gram]
             for trial in range(100):
                 U = _random_unimodular(L.dim, rng)
                 B = mat_mul(mat_mul(U, A), transpose(U))
                 LB = GramLattice.from_rows(B)
-                assert rank_signature(LB) == base
+                assert rank_signature(B) == base
                 if trial % 10 == 0:
                     assert fingerprints_match(inv, lattice_invariants(LB))
         # Cartan blocks of the generic configuration
@@ -289,7 +290,7 @@ def test_criterion_14_property_suites():
             labs = [l for l in cfg.labels if l.startswith(f"E{point},")]
             assert len(labs) == size
             block = [[cfg.base[ix[a]][ix[b]] for b in labs] for a in labs]
-            assert tuple(map(tuple, block)) == ade_chain(size).gram
+            assert block == ade_chain(size)
         # Bezout across the branch intersection table
         assert sum(m for _, m in GENERIC_BRANCH_POINTS) == 9
         # recurrence / series cross-validation for all operators

@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from k3pencil import __version__, cli, lattice
-from k3pencil.claims import CLAIMS, FLAGGED_CHECKS, render_markdown
+from k3pencil.claims import CLAIMS, FLAGGED_CHECKS
 from k3pencil.cli import CHECKS, build_parser, main
 from k3pencil.singular import DEFAULT_JET_ORDER
 
@@ -158,6 +158,28 @@ PINNED_LINES = {
 def test_line_strings_pinned(s_value):
     rows = cli.lines_data(s_value)["lines"]
     assert [(r["label"], r["line"], r["w"]) for r in rows] == PINNED_LINES[s_value]
+
+
+def render_markdown() -> str:
+    """docs/claims.md as generated from the claim registry."""
+    lines = [
+        "# Verified claims",
+        "",
+        "Every check emitted by the `k3pencil` CLI refers to one of the",
+        "claims below via its `claim_ref`.  Flagged checks record a verified",
+        "inconsistency in a commonly stated form, together with the",
+        "corrected form that the toolkit verifies.",
+        "",
+    ]
+    for check_id, (ref, text) in CLAIMS.items():
+        flag = " *(flagged)*" if check_id in FLAGGED_CHECKS else ""
+        lines.append(f"## `{ref}`{flag}")
+        lines.append("")
+        lines.append(f"Check id: `{check_id}`")
+        lines.append("")
+        lines.append(text)
+        lines.append("")
+    return "\n".join(lines)
 
 
 def test_every_check_has_a_claim_and_doc_is_in_sync():

@@ -6,10 +6,8 @@ import pytest
 from k3pencil import lattice, picard
 from k3pencil.lattice import (
     GramLattice,
-    ade_chain,
     fingerprints_match,
     lattice_invariants,
-    rank_int,
     rank_signature,
     standard_lattice,
 )
@@ -22,7 +20,7 @@ from k3pencil.picard import (
     reflection_isomorphism_check,
     transcendental_invariants,
 )
-from test_fast_paths import fraction_rank_signature
+from gram_helpers import ade_chain, fraction_rank_signature, row_by_row_det
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +61,7 @@ def test_generic_chain_blocks_are_negated_cartan(generic_config):
         labs = [l for l in cfg.labels if l.startswith(f"E{point},")]
         assert len(labs) == size
         block = [[cfg.base[ix[a]][ix[b]] for b in labs] for a in labs]
-        assert GramLattice.from_rows(block).gram == ade_chain(size).gram
+        assert block == ade_chain(size)
     assert cfg.base[ix["E4,0"]][ix["E4,0"]] == -2
 
 
@@ -87,7 +85,7 @@ def test_generic_survivor_dets(generic_result):
 
     for m in generic_result.completions:
         q = radical_quotient(GramLattice.from_rows(m, generic_result.labels))
-        assert abs(q.det()) == 12
+        assert abs(row_by_row_det(q.gram)) == 12
 
 
 def test_pair_swap_keeps_invariants(generic_config, generic_result):
@@ -96,7 +94,7 @@ def test_pair_swap_keeps_invariants(generic_config, generic_result):
     for flip in range(len(bits0)):
         bits = tuple(b ^ 1 if i == flip else b for i, b in enumerate(bits0))
         m = cfg.complete(bits)
-        rank, _, _, _ = rank_signature(GramLattice.from_rows(m, cfg.labels))
+        rank, _, _, _ = rank_signature(m)
         if rank <= 20:
             inv = lattice_invariants(GramLattice.from_rows(m, cfg.labels))
             assert fingerprints_match(inv, res.picard)
@@ -116,7 +114,7 @@ def test_fiber_s1():
     from k3pencil.lattice import radical_quotient
 
     q = radical_quotient(GramLattice.from_rows(res.completions[0], res.labels))
-    assert abs(q.det()) == 8
+    assert abs(row_by_row_det(q.gram)) == 8
     # 23 generators minus rank 20 = 3 relations
     assert len(res.labels) - res.picard.rank == 3
 
@@ -129,7 +127,7 @@ def test_fiber_sm1():
     from k3pencil.lattice import radical_quotient
 
     q = radical_quotient(GramLattice.from_rows(res.completions[0], res.labels))
-    assert abs(q.det()) == 24
+    assert abs(row_by_row_det(q.gram)) == 24
 
 
 def test_transcendental_requires_k3_rank():
@@ -183,25 +181,23 @@ def fiber_configs():
 
 def test_integer_rank_matches_rank_signature(fiber_configs):
     completions = [
-        (cfg, cfg.complete(bits))
+        cfg.complete(bits)
         for cfg in fiber_configs.values()
         for bits in product((0, 1), repeat=len(cfg.ambiguous_pairs))
     ]
     assert len(completions) == 288
-    # both integer eliminations against the Fraction congruence diagonalization
-    for cfg, m in completions:
-        exact = fraction_rank_signature(m)
-        assert rank_int(m) == exact[0]
-        assert rank_signature(GramLattice.from_rows(m, cfg.labels)) == exact
+    # the integer elimination against the Fraction congruence diagonalization
+    for m in completions:
+        assert rank_signature(m) == fraction_rank_signature(m)
 
 
-def test_enumeration_pinned_without_per_assignment_signatures(fiber_configs, monkeypatch):
+def test_enumeration_pinned_with_one_elimination_per_assignment(fiber_configs, monkeypatch):
     calls = []
     exact = lattice.rank_signature
 
-    def counted(L):
-        calls.append(L.dim)
-        return exact(L)
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
 
     monkeypatch.setattr(lattice, "rank_signature", counted)
     monkeypatch.setattr(picard, "rank_signature", counted, raising=False)
@@ -209,9 +205,10 @@ def test_enumeration_pinned_without_per_assignment_signatures(fiber_configs, mon
         res = enumerate_and_filter(cfg)
         assert res.survivor_count == 4
         assert res.assignments == PINNED_ASSIGNMENTS[fiber]
-    # a signature per survivor and per model lattice (Picard, transcendental),
-    # none per assignment
-    assert len(calls) == 3 * (4 + 2)
+    # one elimination per assignment for the rank filter, then two per
+    # lattice_invariants call (its degeneracy test and the signature of the
+    # form) on each survivor and model lattice (Picard, transcendental)
+    assert len(calls) == 288 + 3 * 2 * (4 + 2)
 
 
 def test_rank_bound_flag():

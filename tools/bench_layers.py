@@ -30,11 +30,13 @@ every microbenchmark as its value in each run and their median:
   path, at the size of the singular-locus eliminations), and per
   ``resultant`` in x over QQ(s) of two polynomials in x, y of x-degree 2
   and 3 (best of five timeit repeats);
-* ``lattice_us``: microseconds per ``rank_int``, ``rank_signature`` and
-  ``smith_normal_form`` on the Gram matrix of the first surviving sheet
-  assignment of the generic fibre (23 x 23, rank 19), and per
-  ``disc_forms_isomorphic`` of its discriminant form against that of the
-  Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
+* ``lattice_us``: microseconds per ``rank_signature`` and
+  ``smith_normal_form`` on the rows of the Gram matrix of the first
+  surviving sheet assignment of the generic fibre (23 x 23, rank 19), and
+  per ``disc_forms_isomorphic`` of its discriminant form against that of
+  the Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
+  ``rank_signature`` takes the rows, so a base checkout whose
+  ``rank_signature`` takes a ``GramLattice`` cannot run this pass.
 
 ``ratio_change_over_base`` is change over base of the medians.  For the
 wall time and each microbenchmark it is ``{"ratio": r, "unresolved": u}``
@@ -58,7 +60,7 @@ import timeit
 RUNS = 7
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
-LATTICE_OPS = ("rank_int", "rank_signature", "smith_normal_form", "disc_forms_isomorphic")
+LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 
 
@@ -130,12 +132,10 @@ def lattice_micro() -> dict:
     from k3pencil.picard import FIBER_MODELS, build_divisor_config, enumerate_and_filter
 
     m = enumerate_and_filter(build_divisor_config("generic")).completions[0]
-    L = lat.GramLattice.from_rows(m)
-    form = lat.lattice_invariants(L).disc_form
+    form = lat.lattice_invariants(lat.GramLattice.from_rows(m)).disc_form
     model = lat.lattice_invariants(lat.standard_lattice(FIBER_MODELS["generic"][0])).disc_form
     calls = {
-        "rank_int": lambda: lat.rank_int(m),
-        "rank_signature": lambda: lat.rank_signature(L),
+        "rank_signature": lambda: lat.rank_signature(m),
         "smith_normal_form": lambda: lat.smith_normal_form(m),
         "disc_forms_isomorphic": lambda: lat.disc_forms_isomorphic(form, model),
     }
