@@ -414,15 +414,16 @@ def discriminant_generators(L: GramLattice) -> tuple[list[int], IntMatrix]:
     return orders, [[q[r][start + i] for r in range(n)] for i in range(len(orders))]
 
 
-def discriminant_group_form(L: GramLattice) -> LatticeInvariants:
-    """Invariants of a nondegenerate even lattice, with the finite quadratic
-    form on the discriminant group: for the generators c_i / d_i of
-    ``discriminant_generators``, q(g_i) = c_i.G.c_i / d_i^2 mod 2 and
-    b(g_i, g_j) = c_i.G.c_j / (d_i d_j) mod 1."""
+def discriminant_group_form(L: GramLattice, signature: tuple[int, int, int, int]) -> LatticeInvariants:
+    """Invariants of a nondegenerate even lattice, given its
+    ``rank_signature``, with the finite quadratic form on the discriminant
+    group: for the generators c_i / d_i of ``discriminant_generators``,
+    q(g_i) = c_i.G.c_i / d_i^2 mod 2 and b(g_i, g_j) = c_i.G.c_j / (d_i d_j)
+    mod 1."""
     orders, cols = discriminant_generators(L)
     if not L.is_even():
         raise ValueError("discriminant form requires an even lattice")
-    rank, pos, neg, zero = rank_signature(L.gram)
+    rank, pos, neg, zero = signature
     gcols = mat_mul(L.gram, transpose(cols))
     pairs = [
         [Fraction(sum(x * g[j] for x, g in zip(c, gcols)), di * dj) for j, dj in enumerate(orders)]
@@ -438,11 +439,12 @@ def lattice_invariants(L: GramLattice) -> LatticeInvariants:
     """Invariants after passing to the radical quotient M when degenerate,
     that is when ``rank_signature`` counts a zero.  The form factors
     through L/rad, so by Sylvester's law of inertia M has the signature of
-    L without its zeros, and L keeps its own."""
-    _, pos, neg, zero = rank_signature(L.gram)
+    L without its zeros, and L keeps its own: one elimination serves both."""
+    signature = rank_signature(L.gram)
+    rank, pos, neg, zero = signature
     if not zero:
-        return discriminant_group_form(L)
-    inv = discriminant_group_form(radical_quotient(L))
+        return discriminant_group_form(L, signature)
+    inv = discriminant_group_form(radical_quotient(L), (rank, pos, neg, 0))
     return replace(inv, signature=(pos, neg, zero))
 
 

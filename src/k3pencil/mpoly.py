@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _signed_join
 
 Exponent = Tuple[int, ...]
 
@@ -243,83 +243,63 @@ class MPoly:
             out = out + term
         return out
 
+    def subst(self, images: Dict[str, "MPoly"]) -> "MPoly":
+        """Replace each variable named in images by its image, a polynomial
+        of this ring; the other variables stay.  The one substitution
+        routine: the powers of each image are computed once, a term's
+        coefficient scales the first of its image powers, and the expansion
+        of every term is summed into one dict."""
+        field, vars = self.field, self.vars
+        if any(img.field != field or img.vars != vars for img in images.values()):
+            raise ValueError("substitution image outside the polynomial's ring")
+        slots = [(vars.index(v), img, [MPoly.const(field, vars, 1)]) for v, img in images.items()]
+        out: Dict[Exponent, FieldElement] = {}
+        for e, c in self.terms.items():
+            kept = list(e)
+            part = None
+            for i, img, powers in slots:
+                k = kept[i]
+                if k:
+                    kept[i] = 0
+                    while len(powers) <= k:
+                        powers.append(powers[-1] * img)
+                    part = powers[k] * c if part is None else part * powers[k]
+            if part is None:
+                kept = tuple(kept)
+                out[kept] = out[kept] + c if kept in out else c
+                continue
+            for pe, pc in part.terms.items():
+                te = tuple(a + b for a, b in zip(kept, pe))
+                out[te] = out[te] + pc if te in out else pc
+        return MPoly(field, vars, out)
+
     def subst_polys(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Substitute every variable by a polynomial (all in the same target
-        ring).  Used for linear changes of coordinates and map pullbacks."""
+        """Substitute every variable by a polynomial of this ring.  Used for
+        linear changes of coordinates and map pullbacks."""
         if len(images) != len(self.vars):
             raise ValueError("wrong number of images")
-        if not images:
-            raise ValueError("no variables")
-        target = images[0]
-        out = MPoly.zero(target.field, target.vars)
-        pow_cache: list[dict[int, MPoly]] = [
-            {0: MPoly.const(target.field, target.vars, 1)} for _ in images
-        ]
-
-        def power(i: int, k: int) -> MPoly:
-            cache = pow_cache[i]
-            if k not in cache:
-                m = max(cache)
-                p = cache[m]
-                for j in range(m, k):
-                    p = p * images[i]
-                    cache[j + 1] = p
-            return cache[k]
-
-        for e, c in self.terms.items():
-            term = MPoly.const(target.field, target.vars, target.field.coerce(c))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+        return self.subst(dict(zip(self.vars, images)))
 
     def set_var(self, var: str, value) -> "MPoly":
         """Substitute a single variable by a field element (stays in the same
         variable list, exponent forced to zero)."""
-        i = self.vars.index(var)
-        val = self.field.coerce(value)
-        out: Dict[Exponent, FieldElement] = {}
-        z = self.field.zero
-        for e, c in self.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            coeff = c * (val ** k) if k else c
-            ne_t = tuple(ne)
-            out[ne_t] = out.get(ne_t, z) + coeff
-        return MPoly(self.field, self.vars, out)
+        return self.subst({var: MPoly.const(self.field, self.vars, value)})
 
     def set_var_poly(self, var: str, image: "MPoly") -> "MPoly":
         """Substitute a single variable by a polynomial in the same variables,
         over the larger of the two fields."""
         poly, image = self._ring(image)
-        i = poly.vars.index(var)
-        out = MPoly.zero(poly.field, poly.vars)
-        cache: dict[int, MPoly] = {0: MPoly.const(poly.field, poly.vars, 1)}
-
-        def power(k: int) -> MPoly:
-            if k not in cache:
-                m = max(cache)
-                p = cache[m]
-                for j in range(m, k):
-                    p = p * image
-                    cache[j + 1] = p
-            return cache[k]
-
-        for e, c in poly.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            mono = MPoly(poly.field, poly.vars, {tuple(ne): c})
-            out = out + (mono * power(k) if k else mono)
-        return out
+        return poly.subst({var: image})
 
     def translate(self, point: Sequence) -> "MPoly":
-        """Substitute var_i -> var_i + point_i (recentre at a point)."""
-        gens = MPoly.gens(self.field, self.vars)
-        images = [g + self.field.coerce(p) for g, p in zip(gens, point)]
-        return self.subst_polys(images)
+        """Substitute var_i -> var_i + point_i (recentre at a point); a zero
+        coordinate leaves its variable alone."""
+        if len(point) != len(self.vars):
+            raise ValueError("wrong number of coordinates")
+        shift = {v: self.field.coerce(p) for v, p in zip(self.vars, point)}
+        return self.subst(
+            {v: MPoly.variable(self.field, self.vars, v) + p for v, p in shift.items() if not p.is_zero()}
+        )
 
     def truncate(self, max_total_degree: int) -> "MPoly":
         return MPoly(
@@ -445,8 +425,6 @@ class MPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
         parts = []
         for e, c in items:
@@ -463,13 +441,7 @@ class MPoly:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"({cs})*{mono}" if composite else f"{cs}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-") and not p.startswith("-("):
-                out += f" - {p[1:]}"
-            else:
-                out += f" + {p}"
-        return out
+        return _signed_join(parts)
 
     def __repr__(self) -> str:
         return f"MPoly({self})"

@@ -22,10 +22,6 @@ XYZ = ("x", "y", "z")
 UVW = ("u", "v", "w")
 
 
-def _gens(field: Field, vars):
-    return MPoly.gens(field, vars)
-
-
 # ---------------------------------------------------------------------------
 # the quartic obtained by rationalizing the square root
 # ---------------------------------------------------------------------------
@@ -33,7 +29,7 @@ def _gens(field: Field, vars):
 
 def radical_quartic_affine() -> MPoly:
     """z^2 (1 + x y) - (x + y)(x + y - 4 x y + x^2 y + x y^2) over QQ."""
-    x, y, z = _gens(QQ, XYZ)
+    x, y, z = MPoly.gens(QQ, XYZ)
     return z * z * (1 + x * y) - (x + y) * (x + y - 4 * x * y + x * x * y + x * y * y)
 
 
@@ -62,14 +58,14 @@ QUARTIC_SINGULAR_TABLE = (
 
 def surface_b() -> MPoly:
     """1 - (x^2 y^2 + y^2 z^2 + z^2 x^2) + 2 x^2 y^2 z^2 over QQ."""
-    x, y, z = _gens(QQ, XYZ)
+    x, y, z = MPoly.gens(QQ, XYZ)
     x2, y2, z2 = x * x, y * y, z * z
     return 1 - (x2 * y2 + y2 * z2 + z2 * x2) + 2 * x2 * y2 * z2
 
 
 def surface_r() -> MPoly:
     """u^2 v^2 w^2 - u^2 - v^2 - w^2 + 2 over QQ."""
-    u, v, w = _gens(QQ, UVW)
+    u, v, w = MPoly.gens(QQ, UVW)
     u2, v2, w2 = u * u, v * v, w * w
     return u2 * v2 * w2 - u2 - v2 - w2 + 2
 
@@ -77,7 +73,7 @@ def surface_r() -> MPoly:
 def reciprocal_pencil() -> MPoly:
     """The cleared-denominator pencil member over QQ(s):
     u^2 v^2 w^2 - u^2 - v^2 - w^2 + 2 + s (u^2-1)(v^2-1)(w^2-1)."""
-    u, v, w = _gens(QS, UVW)
+    u, v, w = MPoly.gens(QS, UVW)
     u2, v2, w2 = u * u, v * v, w * w
     s = QS.s()
     return (
@@ -101,7 +97,7 @@ def quartic_f(i: int) -> MPoly:
 def branch_cubic(i: int, field: Optional[Field] = None) -> MPoly:
     """G_i = (x^2+y^2) z - 2 x y (x+y) + (s+1-i)(2x-z)(2y-z) z over QQ(s)."""
     f = field or QS
-    x, y, z = _gens(f, XYZ)
+    x, y, z = MPoly.gens(f, XYZ)
     c = f.s() + f.from_rat(1 - i)
     return (x * x + y * y) * z - 2 * x * y * (x + y) + (2 * x - z) * (2 * y - z) * z * c
 
@@ -123,14 +119,14 @@ def branch_sextic_at(s0) -> MPoly:
 def laurent_f_cleared() -> MPoly:
     """x y z * (x + 1/x + y + 1/y + z + 1/z), i.e. the numerator of the
     Laurent polynomial F, over QQ."""
-    x, y, z = _gens(QQ, XYZ)
+    x, y, z = MPoly.gens(QQ, XYZ)
     return x * x * y * z + y * z + x * y * y * z + x * z + x * y * z * z + x * y
 
 
 def quartic_family(field: Optional[Field] = None) -> MPoly:
     """x^2 y z + y z + x y^2 z + x z + x y z^2 + x y - (2-4s) x y z over QQ(s)."""
     f = field or QS
-    x, y, z = _gens(f, XYZ)
+    x, y, z = MPoly.gens(f, XYZ)
     t = f.from_rat(2) - f.from_rat(4) * f.s()
     return (
         x * x * y * z + y * z + x * y * y * z + x * z + x * y * z * z + x * y
@@ -172,7 +168,7 @@ def fiber_branch_components(s0) -> list[MPoly]:
     """Irreducible components of the branch sextic at a special fibre (the
     factorizations are verified by multiplication in the tests)."""
     s0 = Fraction(s0)
-    x, y, z = _gens(QQ, XYZ)
+    x, y, z = MPoly.gens(QQ, XYZ)
     if s0 == 1:
         line = z - x - y
         conic = z * z - (x + y) * z + 2 * x * y

@@ -23,6 +23,10 @@ from .polyops import gcd_bivariate, gcd_poly, resultant
 #: The jet bound of the A_k classifier.
 DEFAULT_JET_ORDER = 10
 
+#: The smallest eliminations a cascade level keeps; further ones are kept
+#: only while the kept set has a nonconstant gcd.
+PAIR_CAP = 6
+
 
 # ---------------------------------------------------------------------------
 # projective points
@@ -123,7 +127,7 @@ def _gcd_generic(a: MPoly, b: MPoly) -> Optional[MPoly]:
     return None
 
 
-def _pair_eliminations(polys: list[MPoly], v: str, cap: int = 6) -> list[MPoly]:
+def _pair_eliminations(polys: list[MPoly], v: str) -> list[MPoly]:
     """Sound nonzero eliminations of v: each returned polynomial vanishes on
     the projection of the common zero set of the system.  The smallest
     polynomial is used as pivot; zero resultants (shared factors) are broken
@@ -188,10 +192,10 @@ def _pair_eliminations(polys: list[MPoly], v: str, cap: int = 6) -> list[MPoly]:
             if g is None or g.is_const():
                 break
     out.sort(key=lambda p: (p.total_degree(), len(p.terms)))
-    kept = out[:cap]
-    if len(out) > cap:
+    kept = out[:PAIR_CAP]
+    if len(out) > PAIR_CAP:
         g = set_gcd(kept)
-        for p in out[cap:]:
+        for p in out[PAIR_CAP:]:
             if g is None or g.is_const():
                 break
             kept.append(p)
@@ -518,15 +522,15 @@ def branch_ade_type(contact: int) -> int:
 
 def double_cover_type(sextic: MPoly, P: ProjPoint) -> SingularityReport:
     """A_k type of the double cover w^2 = sextic above a singular point of
-    the sextic, computed from the local equation w^2 - sextic in an affine
-    chart at the point."""
-    affine, coords = P.affine(sextic)
-    wvars = affine.vars + ("w_cov",)
-    field = affine.field
-    w = MPoly.variable(field, wvars, "w_cov")
-    local = w * w - affine.with_vars(wvars)
-    rep = milnor_ade_classify(local, coords + [field.zero])
-    return SingularityReport(ProjPoint(field, P.coords), rep.k)
+    the sextic, classified on the branch curve: the sextic's equation f in
+    an affine chart at the point.  Sound because the cover's local equation
+    w^2 - f is -f plus the square of a new variable: its Hessian is that of
+    -f bordered by the nonzero entry of w, so the corank is the same, and
+    the splitting lemma splits w off and leaves the residual of -f, of the
+    same order as that of f (stable equivalence; Arnold, Gusein-Zade and
+    Varchenko I, section 11).  So the surface point has the curve point's k."""
+    rep = milnor_ade_classify(*P.affine(sextic))
+    return SingularityReport(ProjPoint(sextic.field, P.coords), rep.k)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +608,6 @@ def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
     return multiplicity_at(R.drop_vars([gone]), Q)
 
 
-def _ord_univar(p: MPoly) -> int:
-    return p.min_total_degree()
-
-
 def _imult_origin(f: MPoly, g: MPoly) -> int:
     x, y = f.vars
     field = f.field
@@ -621,14 +621,14 @@ def _imult_origin(f: MPoly, g: MPoly) -> int:
             raise ValueError("infinite intersection multiplicity: common factor y")
         if a.is_zero():
             f1 = f.exact_div(MPoly.variable(field, f.vars, y))
-            total += _ord_univar(b)
+            total += b.min_total_degree()
             f = f1
             if not f.const_coeff().is_zero():
                 return total
             continue
         if b.is_zero():
             g1 = g.exact_div(MPoly.variable(field, f.vars, y))
-            total += _ord_univar(a)
+            total += a.min_total_degree()
             g = g1
             if not g.const_coeff().is_zero():
                 return total

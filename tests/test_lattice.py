@@ -26,7 +26,7 @@ from gram_helpers import ade_chain, direct_sum, row_by_row_det
 def test_hyperbolic_plane():
     U = standard_lattice("U")
     assert rank_signature(U.gram) == (2, 1, 1, 0)
-    inv = discriminant_group_form(U)
+    inv = discriminant_group_form(U, rank_signature(U.gram))
     assert inv.invariant_factors == ()
 
 
@@ -67,7 +67,8 @@ def test_parse_errors():
 
 
 def test_disc_form_of_minus_12():
-    inv = discriminant_group_form(standard_lattice("<-12>"))
+    L = standard_lattice("<-12>")
+    inv = discriminant_group_form(L, rank_signature(L.gram))
     assert inv.invariant_factors == (12,)
     # q(generator) = -1/12 mod 2, stored in [0, 2)
     assert inv.disc_form.q == (Fraction(23, 12),)
@@ -76,7 +77,7 @@ def test_disc_form_of_minus_12():
 def test_degenerate_requires_quotient():
     L = GramLattice.from_rows([[2, 0], [0, 0]])
     with pytest.raises(ValueError, match="radical"):
-        discriminant_group_form(L)
+        discriminant_group_form(L, rank_signature(L.gram))
     q = radical_quotient(L)
     assert q.gram == ((2,),)
 
@@ -89,7 +90,7 @@ def test_radical_quotient_preserves_nondegenerate_invariants():
 
 def test_odd_lattice_rejected():
     with pytest.raises(ValueError, match="even"):
-        discriminant_group_form(GramLattice.from_rows([[1]]))
+        discriminant_group_form(GramLattice.from_rows([[1]]), (1, 1, 0, 0))
 
 
 def test_invariants_match_examples():
@@ -118,7 +119,7 @@ def test_snf_properties_random():
 def test_invariant_factor_product_is_det():
     for spec in ("U + <-12>", "<2> + <4>", "<-12> + <-2>", "U + E8(-1)^2 + <-4> + <-2>"):
         L = standard_lattice(spec)
-        inv = discriminant_group_form(L)
+        inv = discriminant_group_form(L, rank_signature(L.gram))
         prod = 1
         for d in inv.invariant_factors:
             prod *= d
@@ -127,7 +128,8 @@ def test_invariant_factor_product_is_det():
 
 def test_q_b_compatibility():
     # q(g+h) - q(g) - q(h) = 2 b(g, h) mod 2
-    inv = discriminant_group_form(standard_lattice("<-12> + <-2>"))
+    L = standard_lattice("<-12> + <-2>")
+    inv = discriminant_group_form(L, rank_signature(L.gram))
     form = inv.disc_form
     for g in form.elements():
         for h in form.elements():
@@ -191,9 +193,9 @@ def test_ade_chain_matrices():
 
 
 def test_disc_form_negation_changes_class_when_it_should():
-    inv = discriminant_group_form(standard_lattice("<-12>"))
+    inv = lattice_invariants(standard_lattice("<-12>"))
     neg = inv.disc_form.negated()
-    pos = discriminant_group_form(standard_lattice("<12>")).disc_form
+    pos = lattice_invariants(standard_lattice("<12>")).disc_form
     assert disc_forms_isomorphic(neg, pos)
     assert not disc_forms_isomorphic(inv.disc_form, pos)
 

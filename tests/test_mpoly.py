@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from k3pencil import QQ, QS, QSA, MPoly, parse_poly
@@ -107,3 +110,163 @@ def test_dense_univariate():
     f = parse_poly("t^3 - 2*t", QQ, ("t",))
     cs = f.dense_univariate("t")
     assert [str(c) for c in cs] == ["0", "-2", "0", "1"]
+
+
+# -- the substitution kernel against the four loops it replaced ----------------
+#
+# The oracle: the separate substitution loops that MPoly.set_var,
+# set_var_poly, subst_polys and translate ran before they became entry
+# points on MPoly.subst, kept verbatim apart from taking the polynomial as
+# their first argument.
+
+
+def old_subst_polys(poly, images):
+    if len(images) != len(poly.vars):
+        raise ValueError("wrong number of images")
+    if not images:
+        raise ValueError("no variables")
+    target = images[0]
+    out = MPoly.zero(target.field, target.vars)
+    pow_cache = [{0: MPoly.const(target.field, target.vars, 1)} for _ in images]
+
+    def power(i, k):
+        cache = pow_cache[i]
+        if k not in cache:
+            m = max(cache)
+            p = cache[m]
+            for j in range(m, k):
+                p = p * images[i]
+                cache[j + 1] = p
+        return cache[k]
+
+    for e, c in poly.terms.items():
+        term = MPoly.const(target.field, target.vars, target.field.coerce(c))
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        out = out + term
+    return out
+
+
+def old_set_var(poly, var, value):
+    i = poly.vars.index(var)
+    val = poly.field.coerce(value)
+    out = {}
+    z = poly.field.zero
+    for e, c in poly.terms.items():
+        ne = list(e)
+        k = ne[i]
+        ne[i] = 0
+        coeff = c * (val ** k) if k else c
+        ne_t = tuple(ne)
+        out[ne_t] = out.get(ne_t, z) + coeff
+    return MPoly(poly.field, poly.vars, out)
+
+
+def old_set_var_poly(poly, var, image):
+    poly, image = poly._ring(image)
+    i = poly.vars.index(var)
+    out = MPoly.zero(poly.field, poly.vars)
+    cache = {0: MPoly.const(poly.field, poly.vars, 1)}
+
+    def power(k):
+        if k not in cache:
+            m = max(cache)
+            p = cache[m]
+            for j in range(m, k):
+                p = p * image
+                cache[j + 1] = p
+        return cache[k]
+
+    for e, c in poly.terms.items():
+        ne = list(e)
+        k = ne[i]
+        ne[i] = 0
+        mono = MPoly(poly.field, poly.vars, {tuple(ne): c})
+        out = out + (mono * power(k) if k else mono)
+    return out
+
+
+def old_translate(poly, point):
+    gens = MPoly.gens(poly.field, poly.vars)
+    return old_subst_polys(poly, [g + poly.field.coerce(p) for g, p in zip(gens, point)])
+
+
+XYZ = ("x", "y", "z")
+
+
+def _coeff(rng, field):
+    """A random element: a rational, plus s-terms over a pole over QQ(s) and
+    QQ(m), plus an alpha-term over QQ(m)."""
+    c = field.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if field.with_s:
+        c = c + field.s() * rng.randint(-2, 2) / (field.s() + rng.randint(1, 3))
+    if field is QSA:
+        c = c + field.alpha() * rng.randint(-2, 2)
+    return c
+
+
+def _poly(rng, field, degree, n_terms):
+    """A random polynomial in x, y, z of total degree at most degree."""
+    terms = {}
+    for _ in range(n_terms):
+        e = [0, 0, 0]
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(3)] += 1
+        terms[tuple(e)] = _coeff(rng, field)
+    return MPoly(field, XYZ, terms)
+
+
+def _image(rng, field, kind):
+    """A zero, a constant or a non-monomial image."""
+    if kind == "zero":
+        return MPoly.zero(field, XYZ)
+    if kind == "const":
+        return MPoly.const(field, XYZ, _coeff(rng, field))
+    return _poly(rng, field, 2, 3) + MPoly.gens(field, XYZ)[rng.randrange(3)]
+
+
+KINDS = ("zero", "const", "poly")
+
+
+@pytest.mark.parametrize("field", [QQ, QS, QSA], ids=["QQ", "QQ(s)", "QQ(m)"])
+def test_subst_entry_points_match_the_separate_loops(field):
+    rng = random.Random(f"subst-{field.level_name()}")
+    for _ in range(4):
+        p = _poly(rng, field, 4, 6)
+        for kind in KINDS:
+            var = rng.choice(XYZ)
+            value = field.zero if kind == "zero" else _coeff(rng, field)
+            assert p.set_var(var, value) == old_set_var(p, var, value)
+            image = _image(rng, field, kind)
+            assert p.set_var_poly(var, image) == old_set_var_poly(p, var, image)
+        images = [_image(rng, field, rng.choice(KINDS)) for _ in XYZ]
+        assert p.subst_polys(images) == old_subst_polys(p, images)
+        point = [rng.choice([field.zero, _coeff(rng, field)]) for _ in XYZ]
+        assert p.translate(point) == old_translate(p, point)
+    with pytest.raises(ValueError):
+        p.subst_polys(images[:2])
+
+
+@pytest.mark.parametrize("small, large", [(QQ, QS), (QS, QSA)], ids=["QQ<QQ(s)", "QQ(s)<QQ(m)"])
+def test_set_var_poly_across_two_fields_matches_the_separate_loop(small, large):
+    rng = random.Random(f"subst-{small.level_name()}-{large.level_name()}")
+    for _ in range(3):
+        for pf, imf in ((small, large), (large, small)):
+            p = _poly(rng, pf, 4, 6)
+            for kind in KINDS:
+                var = rng.choice(XYZ)
+                image = _image(rng, imf, kind)
+                got = p.set_var_poly(var, image)
+                assert got.field == large
+                assert got == old_set_var_poly(p, var, image)
+
+
+def test_subst_rejects_an_image_outside_the_ring():
+    p = P("x^2 + y")
+    xs = MPoly.variable(QS, XYZ, "x")
+    with pytest.raises(ValueError, match="ring"):
+        p.subst({"y": xs})
+    with pytest.raises(ValueError, match="ring"):
+        p.subst({"y": MPoly.variable(QQ, ("x", "y"), "x")})
+    assert p.subst({}) == p

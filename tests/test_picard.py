@@ -205,10 +205,10 @@ def test_enumeration_pinned_with_one_elimination_per_assignment(fiber_configs, m
         res = enumerate_and_filter(cfg)
         assert res.survivor_count == 4
         assert res.assignments == PINNED_ASSIGNMENTS[fiber]
-    # one elimination per assignment for the rank filter, then two per
-    # lattice_invariants call (its degeneracy test and the signature of the
-    # form) on each survivor and model lattice (Picard, transcendental)
-    assert len(calls) == 288 + 3 * 2 * (4 + 2)
+    # one elimination per assignment for the rank filter, then one per
+    # lattice_invariants call, which hands its signature on to the form, on
+    # each survivor and model lattice (Picard, transcendental)
+    assert len(calls) == 288 + 3 * (4 + 2)
 
 
 def test_rank_bound_flag():

@@ -89,6 +89,26 @@ def test_branch_ade_type():
         branch_ade_type(0)
 
 
+def _cover_type_on_the_surface(sextic, P):
+    """The oracle: A_k of the cover's local equation w^2 - sextic in the
+    affine chart at P, with w a new variable."""
+    affine, coords = P.affine(sextic)
+    wvars = affine.vars + ("w_cov",)
+    w = MPoly.variable(affine.field, wvars, "w_cov")
+    local = w * w - affine.with_vars(wvars)
+    return milnor_ade_classify(local, coords + [affine.field.zero]).k
+
+
+def test_cover_type_on_the_branch_curve_matches_the_surface():
+    points = [(branch_sextic(), ProjPoint(QS, c)) for c, _ in GENERIC_BRANCH_POINTS]
+    for s0 in (1, -1):
+        sex = branch_sextic_at(s0)
+        points += [(sex, ProjPoint(QQ, c)) for c, _ in fiber_singular_table(s0)]
+    assert len(points) == 4 + 7 + 5
+    for sextic, P in points:
+        assert double_cover_type(sextic, P).k == _cover_type_on_the_surface(sextic, P)
+
+
 def test_cover_types_match_branch_rule():
     sex = branch_sextic()
     for coords, m in GENERIC_BRANCH_POINTS:

@@ -1,6 +1,6 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
-runtime_ms of each of its checks, and coefficient-layer, polyops-layer and
-lattice-layer microbenchmarks.
+runtime_ms of each of its checks, and coefficient-layer, MPoly-layer,
+polyops-layer and lattice-layer microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
@@ -23,6 +23,13 @@ every microbenchmark as its value in each run and their median:
   QQ, QQ(sqrt(2)), QQ(s) and QQ(m), and over QQ(m) on a pair whose
   denominators are powers of 1 - m^2 (the best of five timeit repeats),
   built only through the public constructors, so any two versions compare;
+* ``mpoly_us``: microseconds per ``MPoly`` multiply of two cubics in
+  x, y, z over QQ(s), and per substitution into their product, a sextic:
+  ``set_var`` of z by an element of QQ(s), ``set_var_poly`` of z by a
+  linear form (a restriction to a line), ``subst_polys`` of a linear change
+  of coordinates and ``translate`` to a point with one zero coordinate
+  (best of five timeit repeats), built only through ``parse_poly``, so any
+  two versions compare;
 * ``polyops_us``: microseconds per ``gcd_poly`` over QQ of two polynomials
   of degree 5 and 4 with rational coefficients and a common quadratic
   factor, per ``resultant`` in x over QQ of two polynomials in x, y of
@@ -35,8 +42,9 @@ every microbenchmark as its value in each run and their median:
   surviving sheet assignment of the generic fibre (23 x 23, rank 19), and
   per ``disc_forms_isomorphic`` of its discriminant form against that of
   the Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
-  ``rank_signature`` takes the rows, so a base checkout whose
-  ``rank_signature`` takes a ``GramLattice`` cannot run this pass.
+  ``rank_signature`` takes the rows: on a checkout whose ``rank_signature``
+  takes a ``GramLattice`` the pass is skipped, its ``lattice_us`` is null and
+  the ratio says why.
 
 ``ratio_change_over_base`` is change over base of the medians.  For the
 wall time and each microbenchmark it is ``{"ratio": r, "unresolved": u}``
@@ -56,12 +64,14 @@ import sys
 import tempfile
 import time
 import timeit
+from typing import Optional
 
 RUNS = 7
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
+MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
 
 
 def _us_per_call(fn) -> float:
@@ -99,6 +109,28 @@ def coefficient_micro() -> dict:
     return out
 
 
+def mpoly_micro() -> dict:
+    """Per MPoly operation, microseconds per call of the k3pencil on sys.path."""
+    from k3pencil import QS, parse_poly
+
+    xyz = ("x", "y", "z")
+    g0 = parse_poly("(x^2 + y^2)*z - 2*x*y*(x + y) + (s + 1)*(2*x - z)*(2*y - z)*z", QS, xyz)
+    g1 = parse_poly("(x^2 + y^2)*z - 2*x*y*(x + y) + s*(2*x - z)*(2*y - z)*z", QS, xyz)
+    sextic = g0 * g1
+    line = parse_poly("2*x - s*y", QS, xyz)
+    change = [parse_poly(t, QS, xyz) for t in ("x + y", "x - 2*y + z", "z + s*x")]
+    point = [1, 0, 2]
+    value = QS.s() + 2
+    calls = {
+        "mul": lambda: g0 * g1,
+        "set_var": lambda: sextic.set_var("z", value),
+        "set_var_poly": lambda: sextic.set_var_poly("z", line),
+        "subst_polys": lambda: sextic.subst_polys(change),
+        "translate": lambda: sextic.translate(point),
+    }
+    return {op: _us_per_call(calls[op]) for op in MPOLY_OPS}
+
+
 def polyops_micro() -> dict:
     """Per polyops kernel, microseconds per call of the k3pencil on sys.path."""
     from fractions import Fraction as F
@@ -125,13 +157,18 @@ def polyops_micro() -> dict:
     return {op: _us_per_call(calls[op]) for op in POLYOPS_OPS}
 
 
-def lattice_micro() -> dict:
+def lattice_micro() -> Optional[dict]:
     """Per lattice kernel, microseconds per call of the k3pencil on sys.path,
-    on the generic survivor Gram matrix and its fingerprint."""
+    on the generic survivor Gram matrix and its fingerprint; None when its
+    ``rank_signature`` does not take rows."""
     from k3pencil import lattice as lat
     from k3pencil.picard import FIBER_MODELS, build_divisor_config, enumerate_and_filter
 
     m = enumerate_and_filter(build_divisor_config("generic")).completions[0]
+    try:
+        lat.rank_signature(m)
+    except AttributeError:
+        return None
     form = lat.lattice_invariants(lat.GramLattice.from_rows(m)).disc_form
     model = lat.lattice_invariants(lat.standard_lattice(FIBER_MODELS["generic"][0])).disc_form
     calls = {
@@ -171,7 +208,10 @@ def run_micro(src: str, cache: str) -> dict:
 
 def _median(runs: list, keep_runs: bool = False):
     """The median of each leaf over a list of equally shaped nested dicts;
-    with keep_runs, each leaf is {"runs": [...], "median": m}."""
+    with keep_runs, each leaf is {"runs": [...], "median": m}.  A skipped
+    pass (None) stays None."""
+    if runs[0] is None:
+        return None
     if isinstance(runs[0], dict):
         return {key: _median([run[key] for run in runs], keep_runs) for key in runs[0]}
     return {"runs": runs, "median": statistics.median(runs)} if keep_runs else statistics.median(runs)
@@ -215,6 +255,7 @@ def main() -> None:
     if args.micro:
         print(json.dumps({
             "coefficient_us": coefficient_micro(),
+            "mpoly_us": mpoly_micro(),
             "polyops_us": polyops_micro(),
             "lattice_us": lattice_micro(),
         }))
@@ -232,8 +273,13 @@ def main() -> None:
             f: {op: _ratio(base["coefficient_us"][f][op], change["coefficient_us"][f][op]) for op in OPS}
             for f in FIELDS
         },
+        "mpoly_us": {op: _ratio(base["mpoly_us"][op], change["mpoly_us"][op]) for op in MPOLY_OPS},
         "polyops_us": {op: _ratio(base["polyops_us"][op], change["polyops_us"][op]) for op in POLYOPS_OPS},
-        "lattice_us": {op: _ratio(base["lattice_us"][op], change["lattice_us"][op]) for op in LATTICE_OPS},
+        "lattice_us": (
+            {op: _ratio(base["lattice_us"][op], change["lattice_us"][op]) for op in LATTICE_OPS}
+            if base["lattice_us"] and change["lattice_us"]
+            else "skipped: a side's rank_signature does not take rows"
+        ),
     }
     report = {
         "command": "python3 tools/bench_layers.py BASE_SRC CHANGE_SRC",
