@@ -184,15 +184,15 @@ def even_contact_test(line: MPoly, config: BranchConfig):
     q = MPoly.const(field, restriction.vars, 1)
     for fpoly, e in decomp:
         q = q * fpoly ** (e // 2)
-    # re-homogenize to degree total/2, restoring the v-coordinate factor
-    target = (total - dv) // 2
-    q_h = MPoly.zero(field, restriction.vars)
+    # re-homogenize to degree total/2 (dv is even), which restores the
+    # v-coordinate factor v^(dv/2); every term of q has v-exponent 0, so the
+    # padded exponents stay distinct
+    terms = {}
     for e, c in q.terms.items():
         ne = list(e)
-        ne[iv] = target - e[iu]
-        q_h = q_h + MPoly(field, restriction.vars, {tuple(ne): c})
-    q_h = q_h * MPoly.variable(field, restriction.vars, v) ** (dv // 2)
-    return True, q_h, unit
+        ne[iv] = total // 2 - e[iu]
+        terms[tuple(ne)] = c
+    return True, MPoly(field, restriction.vars, terms), unit
 
 
 def derive_lift(line: MPoly, config: BranchConfig) -> MPoly:

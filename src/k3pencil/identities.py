@@ -47,6 +47,18 @@ def _g_pair(field, vars) -> Pair:
     return num, den
 
 
+def _cayley_g_pair(field) -> Pair:
+    """G((1+x)/(1-x), (1+y)/(1-y), (1+z)/(1-z)) as a rational pair: the
+    substituted numerator of G over its substituted denominator."""
+    num_g, den_g = _g_pair(field, XYZ)
+    one = MPoly.const(field, XYZ, 1)
+    bindings = {v: (one + t, one - t) for v, t in zip(XYZ, MPoly.gens(field, XYZ))}
+    ng, dg = substitute(num_g, bindings)
+    hg, eg = substitute(den_g, bindings)
+    # G after substitution = (ng/dg) / (hg/eg)
+    return ng * eg, dg * hg
+
+
 def _f_pair(field, vars) -> Pair:
     """F = x + 1/x + y + 1/y + z + 1/z as a rational pair."""
     x, y, z = MPoly.gens(field, vars)
@@ -57,18 +69,8 @@ def _f_pair(field, vars) -> Pair:
 def remarkable_identity_check() -> IdentityCheck:
     """4 G((1+x)/(1-x), (1+y)/(1-y), (1+z)/(1-z)) = F(x, y, z) - 6."""
     field = QQ
-    num_g, den_g = _g_pair(field, XYZ)
-    x, y, z = MPoly.gens(field, XYZ)
-    one = MPoly.const(field, XYZ, 1)
-    bindings = {
-        "x": (one + x, one - x),
-        "y": (one + y, one - y),
-        "z": (one + z, one - z),
-    }
-    ng, dg = substitute(num_g, bindings)
-    hg, eg = substitute(den_g, bindings)
-    # G after substitution = (ng/dg) / (hg/eg)
-    lhs = (ng * eg * 4, dg * hg)
+    g_num, g_den = _cayley_g_pair(field)
+    lhs = (g_num * 4, g_den)
     fn, fd = _f_pair(field, XYZ)
     rhs = (fn.with_vars(lhs[0].vars) - fd.with_vars(lhs[0].vars) * 6, fd.with_vars(lhs[0].vars))
     residual, _ = _pair_sub(lhs, rhs)
@@ -119,17 +121,7 @@ def pencil_parameter_map_check() -> IdentityCheck:
     """Composing the remarkable identity with 1 + s + G = 0 lands on
     F = 2 - 4s: verified by clearing denominators over QQ(s)."""
     field = QS
-    num_g, den_g = _g_pair(field, XYZ)
-    x, y, z = MPoly.gens(field, XYZ)
-    one = MPoly.const(field, XYZ, 1)
-    bindings = {
-        "x": (one + x, one - x),
-        "y": (one + y, one - y),
-        "z": (one + z, one - z),
-    }
-    ng, dg = substitute(num_g, bindings)
-    hg, eg = substitute(den_g, bindings)
-    g_pair = (ng * eg, dg * hg)
+    g_pair = _cayley_g_pair(field)
     s = field.s()
     vars2 = g_pair[0].vars
     one2 = MPoly.const(field, vars2, 1)

@@ -14,7 +14,9 @@ The ring each routine runs on:
   is the Sylvester determinant.
 * gcd_bivariate: a primitive PRS in y on MPoly coefficients, with the
   pseudo-remainder _prem of the resultant.
-* substitute, specialize: MPoly and FieldElement arithmetic.
+* substitute: one MPoly.subst call, each denominator the image of a
+  fresh variable.
+* specialize: MPoly and FieldElement arithmetic.
 """
 
 from __future__ import annotations
@@ -316,7 +318,10 @@ def substitute(
 ) -> Tuple[MPoly, MPoly]:
     """Substitute variables by rational expressions num/den, returning the
     cleared-denominator numerator and the common denominator (not reduced;
-    equality of results is decided by cross-multiplication)."""
+    equality of results is decided by cross-multiplication).  A bound
+    variable v of degree c_v in p gets a fresh variable h_v with exponent
+    c_v - e_v in each term; one ``MPoly.subst`` sends v to num_v and h_v to
+    den_v, and the common denominator is the product of the den_v^c_v."""
     field, vars = p.field, p.vars
     for v, (num, den) in bindings.items():
         if den.is_zero():
@@ -326,42 +331,23 @@ def substitute(
         field = field if field.contains(num.field) else num.field
         field = field if field.contains(den.field) else den.field
         vars = tuple(dict.fromkeys(vars + num.vars + den.vars))
-    one = MPoly.const(field, vars, 1)
-    nums, dens, caps = [], [], []
-    for v in p.vars:
-        if v in bindings:
-            nu, de = bindings[v]
-            nums.append(nu.to_field(field).with_vars(vars))
-            dens.append(de.to_field(field).with_vars(vars))
-        else:
-            nums.append(MPoly.variable(field, vars, v))
-            dens.append(one)
-        caps.append(p.degree_in(v))
-    common_den = one
-    for de, cap in zip(dens, caps):
-        if cap > 0 and not (de is one):
-            common_den = common_den * de ** cap
-    out = MPoly.zero(field, vars)
-    pow_num = [{0: one} for _ in nums]
-    pow_den = [{0: one} for _ in dens]
-
-    def power(cache, base, k):
-        top = max(cache)
-        while top < k:
-            cache[top + 1] = cache[top] * base
-            top += 1
-        return cache[k]
-
-    for e, c in p.terms.items():
-        term = MPoly.const(field, vars, field.coerce(c))
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(pow_num[i], nums[i], k)
-            pad = caps[i] - k
-            if pad and not (dens[i] is one):
-                term = term * power(pow_den[i], dens[i], pad)
-        out = out + term
-    return out, common_den
+    # c_v is 0, not -1, on the zero polynomial; "1/v" is no parseable name
+    slots = [(v, p.vars.index(v), max(p.degree_in(v), 0)) for v in bindings]
+    hidden = tuple(f"1/{v}" for v in bindings)
+    ring = vars + hidden
+    padded = MPoly(
+        p.field,
+        p.vars + hidden,
+        {e + tuple(cap - e[i] for _, i, cap in slots): c for e, c in p.terms.items()},
+    )
+    images = {}
+    common_den = MPoly.const(field, vars, 1)
+    for (v, _, cap), h in zip(slots, hidden):
+        num, den = (side.to_field(field).with_vars(vars) for side in bindings[v])
+        images[v], images[h] = num.with_vars(ring), den.with_vars(ring)
+        common_den = common_den * den**cap
+    out = padded.to_field(field).with_vars(ring).subst(images)
+    return out.drop_vars(hidden), common_den
 
 
 def rational_equal(

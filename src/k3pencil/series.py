@@ -1,6 +1,7 @@
-"""Theta-operator algebra on truncated power series, P-recursive recurrences,
-the Apery / cubic-lattice-walk / Domb sequences, annihilation checks, and the
-singular points of the operators' leading symbols."""
+"""Theta operators and their P-recursive recurrences, the Apery /
+cubic-lattice-walk / Domb sequences, annihilation checks (a series is
+annihilated when every recurrence residual of its coefficients vanishes),
+and the singular points of the operators' leading symbols."""
 
 from __future__ import annotations
 
@@ -24,11 +25,10 @@ def tpoly(*factors: Sequence[int]) -> IntPoly:
 
 @dataclass(frozen=True)
 class ThetaOperator:
-    """Polynomial in (variable, theta) with theta = variable * d/dvariable:
-    terms map the variable power a to the theta-polynomial p_a, the operator
-    being  sum_a  variable^a * p_a(theta)."""
+    """Polynomial in (x, theta) with theta = x d/dx: terms map the power a
+    of x to the theta-polynomial p_a, the operator being
+    sum_a  x^a * p_a(theta)."""
 
-    variable: str
     terms: Dict[int, IntPoly]
 
     def order(self) -> int:
@@ -42,46 +42,6 @@ class ThetaOperator:
 
 
 @dataclass(frozen=True)
-class PowerSeries:
-    variable: str
-    coeffs: Tuple[Fraction, ...]    # indices 0..N
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def from_sequence(variable: str, seq: Callable[[int], int], N: int, dilation: int = 1) -> "PowerSeries":
-        cs = [Fraction(0)] * (N + 1)
-        n = 0
-        while dilation * n <= N:
-            cs[dilation * n] = Fraction(seq(n))
-            n += 1
-        return PowerSeries(variable, tuple(cs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def first_nonzero(self) -> Optional[int]:
-        return next((i for i, c in enumerate(self.coeffs) if c != 0), None)
-
-
-def theta_apply(op: ThetaOperator, f: PowerSeries) -> PowerSeries:
-    """Exact action: variable^a * p(theta) sends c_n x^n to p(n) c_n x^(n+a)."""
-    if op.variable != f.variable:
-        raise ValueError(f"variable mismatch: {op.variable} vs {f.variable}")
-    N = f.truncation
-    if N < op.span():
-        raise ValueError("truncation order below the operator span")
-    out = [Fraction(0)] * (N + 1)
-    for a, p in op.terms.items():
-        for n, c in enumerate(f.coeffs):
-            if c and n + a <= N:
-                out[n + a] += _horner(p, n) * c
-    return PowerSeries(f.variable, tuple(out))
-
-
-@dataclass(frozen=True)
 class Recurrence:
     """P-recursive relation sum_a c_a(n - a) u_(n-a) = 0 for all n, with
     c_a the theta-polynomial of the variable^a term."""
@@ -89,11 +49,13 @@ class Recurrence:
     order: int
     coeff_polys: Tuple[IntPoly, ...]     # index a = 0..order
 
-    def residual(self, u: Sequence[Fraction], n: int) -> Fraction:
-        total = Fraction(0)
+    def residual(self, u: Sequence, n: int):
+        """sum_a c_a(n - a) u_(n-a) over the terms that u holds: the x^n
+        coefficient of the operator applied to sum u_n x^n."""
+        total = 0
         for a, p in enumerate(self.coeff_polys):
             if a <= n and n - a < len(u):
-                total += _horner(p, n - a) * Fraction(u[n - a])
+                total += _horner(p, n - a) * u[n - a]
         return total
 
     def predict(self, u0: Fraction, N: int) -> list[Fraction]:
@@ -123,12 +85,16 @@ def annihilation_check(
     op: ThetaOperator, seq: Callable[[int], int], N: int, dilation: int = 1
 ) -> tuple[bool, Optional[int]]:
     """Whether the operator annihilates sum seq(n) x^(dilation*n) up to the
-    truncation order; on failure, the first failing exponent."""
+    truncation order; on failure, the first failing exponent: the first
+    m <= N with a nonzero recurrence residual at m."""
     if N < 2:
         raise ValueError("truncation order too small")
-    f = PowerSeries.from_sequence(op.variable, seq, N, dilation)
-    res = theta_apply(op, f)
-    bad = res.first_nonzero()
+    rec = operator_to_recurrence(op)
+    if N < rec.order:
+        raise ValueError("truncation order below the operator span")
+    u = [0] * (N + 1)
+    u[::dilation] = [seq(n) for n in range(N // dilation + 1)]
+    bad = next((m for m in range(N + 1) if rec.residual(u, m)), None)
     return (bad is None), bad
 
 
@@ -163,14 +129,11 @@ def domb(n: int) -> int:
 
 def apery_operator() -> ThetaOperator:
     """theta^3 - x (2 theta + 1)(17 theta^2 + 17 theta + 5) + x^2 (theta+1)^3."""
-    return ThetaOperator(
-        "x",
-        {
-            0: tpoly((0, 0, 0, 1)),
-            1: tuple(-c for c in tpoly((1, 2), (5, 17, 17))),
-            2: tpoly((1, 1), (1, 1), (1, 1)),
-        },
-    )
+    return ThetaOperator({
+        0: tpoly((0, 0, 0, 1)),
+        1: tuple(-c for c in tpoly((1, 2), (5, 17, 17))),
+        2: tpoly((1, 1), (1, 1), (1, 1)),
+    })
 
 
 def fermi_operator(corrected: bool = False) -> ThetaOperator:
@@ -178,14 +141,11 @@ def fermi_operator(corrected: bool = False) -> ThetaOperator:
     with c = 1 as commonly stated; c = 2 is forced by the substitution
     lambda = x^2 applied to the Apery operator."""
     c = 2 if corrected else 1
-    return ThetaOperator(
-        "x",
-        {
-            0: tpoly((0, 0, 0, 1)),
-            2: tuple(-c * v for v in tpoly((1, 1), (20, 34, 17))),
-            4: tpoly((2, 1), (2, 1), (2, 1)),
-        },
-    )
+    return ThetaOperator({
+        0: tpoly((0, 0, 0, 1)),
+        2: tuple(-c * v for v in tpoly((1, 1), (20, 34, 17))),
+        4: tpoly((2, 1), (2, 1), (2, 1)),
+    })
 
 
 def domb_operator(corrected: bool = False) -> ThetaOperator:
@@ -193,14 +153,11 @@ def domb_operator(corrected: bool = False) -> ThetaOperator:
     + c x^2 (2 theta+1)(theta+1)(2 theta+3) with c = 1 as commonly stated;
     c = 36 is forced by fitting the recurrence to the Domb numbers."""
     c = 36 if corrected else 1
-    return ThetaOperator(
-        "x",
-        {
-            0: tpoly((0, 0, 0, 1)),
-            1: tuple(-2 * v for v in tpoly((1, 2), (3, 10, 10))),
-            2: tuple(c * v for v in tpoly((1, 2), (1, 1), (3, 2))),
-        },
-    )
+    return ThetaOperator({
+        0: tpoly((0, 0, 0, 1)),
+        1: tuple(-2 * v for v in tpoly((1, 2), (3, 10, 10))),
+        2: tuple(c * v for v in tpoly((1, 2), (1, 1), (3, 2))),
+    })
 
 
 OPERATORS = {

@@ -28,11 +28,10 @@ from k3pencil.series import (
     domb_operator,
     fermi_operator,
     operator_to_recurrence,
-    theta_apply,
-    PowerSeries,
 )
 
 from gram_helpers import ade_chain
+from test_series import PowerSeries, theta_apply
 
 
 class Stopwatch:
@@ -300,7 +299,7 @@ def test_criterion_14_property_suites():
             (fermi_operator(True), apery, 2),
         ):
             rec = operator_to_recurrence(op)
-            f = PowerSeries.from_sequence("x", seq, 30, dil)
+            f = PowerSeries.from_sequence(seq, 30, dil)
             res = theta_apply(op, f)
             for n in range(31):
                 assert rec.residual(list(f.coeffs), n) == res.coeffs[n]

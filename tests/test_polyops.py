@@ -136,6 +136,107 @@ def test_resultant_multiplicativity_spot():
 # -- substitution ---------------------------------------------------------------
 
 
+def _substitute_oracle(p, bindings):
+    """Rational substitution term by term: each term times the powers of the
+    numerators of its variables and of the denominators up to the degree
+    caps, summed into the common-denominator numerator."""
+    field, vars = p.field, p.vars
+    for v, (num, den) in bindings.items():
+        if den.is_zero():
+            raise ZeroDivisionError(f"zero denominator binding for {v}")
+        if v not in vars:
+            raise ValueError(f"binding for unknown variable {v}")
+        field = field if field.contains(num.field) else num.field
+        field = field if field.contains(den.field) else den.field
+        vars = tuple(dict.fromkeys(vars + num.vars + den.vars))
+    one = MPoly.const(field, vars, 1)
+    nums, dens, caps = [], [], []
+    for v in p.vars:
+        if v in bindings:
+            nu, de = bindings[v]
+            nums.append(nu.to_field(field).with_vars(vars))
+            dens.append(de.to_field(field).with_vars(vars))
+        else:
+            nums.append(MPoly.variable(field, vars, v))
+            dens.append(one)
+        caps.append(p.degree_in(v))
+    common_den = one
+    for de, cap in zip(dens, caps):
+        if cap > 0:
+            common_den = common_den * de ** cap
+    out = MPoly.zero(field, vars)
+    for e, c in p.terms.items():
+        term = MPoly.const(field, vars, field.coerce(c))
+        for i, k in enumerate(e):
+            term = term * nums[i] ** k * dens[i] ** (caps[i] - k)
+        out = out + term
+    return out, common_den
+
+
+def _rand_poly(rng, field, vars, coeff, terms=4, degree=3):
+    out = MPoly.zero(field, vars)
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, degree) for _ in vars)
+        out = out + MPoly(field, vars, {e: field.coerce(coeff(rng))})
+    return out
+
+
+def _qq(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _qs(rng):
+    s = QS.s()
+    return (s * rng.randint(-3, 3) + rng.randint(-3, 3)) / (s + rng.randint(1, 4))
+
+
+def _rand_den(rng, field, vars, coeff):
+    while True:
+        den = _rand_poly(rng, field, vars, coeff, terms=2, degree=1)
+        if not den.is_zero():
+            return den
+
+
+@pytest.mark.parametrize(
+    "p_field, p_coeff, b_field, b_coeff",
+    [(QQ, _qq, QQ, _qq), (QS, _qs, QS, _qs), (QQ, _qq, QS, _qs), (QS, _qs, QQ, _qq)],
+    ids=["QQ", "QQ(s)", "QQ-poly-QQ(s)-bindings", "QQ(s)-poly-QQ-bindings"],
+)
+def test_substitute_matches_oracle(p_field, p_coeff, b_field, b_coeff):
+    """substitute against the term-by-term oracle: the same numerator and
+    denominator, ring included, for bindings of some or all variables, in
+    p's variables or in variables p lacks, and on the zero polynomial."""
+    rng = random.Random(11)
+    vars = ("x", "y", "z")
+    for trial in range(12):
+        p = _rand_poly(rng, p_field, vars, p_coeff)
+        if trial == 0:
+            p = MPoly.zero(p_field, vars)
+        bound = rng.sample(vars, rng.randint(1, 3))
+        bvars = vars + ("t",) if trial % 3 == 1 else ("t", "x") if trial % 3 == 2 else vars
+        bindings = {
+            v: (_rand_poly(rng, b_field, bvars, b_coeff, degree=2), _rand_den(rng, b_field, bvars, b_coeff))
+            for v in bound
+        }
+        assert substitute(p, bindings) == _substitute_oracle(p, bindings)
+
+
+def test_substitute_bound_variable_absent_from_p():
+    """A bound variable that p does not contain has degree 0: no power of its
+    denominator enters; a variable outside p's ring is an error."""
+    vars = ("x", "y", "z")
+    p = parse_poly("x^2*y - 3*y + 1", QQ, vars)
+    bindings = {"z": (parse_poly("x + 1", QQ, vars), parse_poly("x - 2", QQ, vars)),
+                "x": (parse_poly("y", QQ, vars), parse_poly("z + 1", QQ, vars))}
+    num, den = substitute(p, bindings)
+    assert (num, den) == _substitute_oracle(p, bindings)
+    assert den == parse_poly("(z + 1)^2", QQ, vars)
+    zero_num, zero_den = substitute(MPoly.zero(QQ, vars), bindings)
+    assert zero_num.is_zero() and zero_den == MPoly.const(QQ, vars, 1)
+    with pytest.raises(ValueError):
+        substitute(p, {"w": bindings["z"]})
+
+
 def test_substitute_cayley():
     x = parse_poly("x", QQ, ("x",))
     num, den = substitute(x * x, {"x": (parse_poly("1 + x", QQ, ("x",)), parse_poly("1 - x", QQ, ("x",)))})

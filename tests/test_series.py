@@ -1,10 +1,12 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Optional, Tuple
 
 import pytest
 
+from k3pencil.field import _horner
 from k3pencil.series import (
-    PowerSeries,
     SurdSum,
     annihilation_check,
     apery,
@@ -15,10 +17,57 @@ from k3pencil.series import (
     operator_singularities,
     operator_to_recurrence,
     sum_a,
-    theta_apply,
     tpoly,
     ThetaOperator,
 )
+
+
+# -- test-local oracle: the operator acting on a truncated Fraction series ---
+
+
+@dataclass(frozen=True)
+class PowerSeries:
+    coeffs: Tuple[Fraction, ...]    # indices 0..N
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
+
+    @staticmethod
+    def from_sequence(seq, N: int, dilation: int = 1) -> "PowerSeries":
+        cs = [Fraction(0)] * (N + 1)
+        n = 0
+        while dilation * n <= N:
+            cs[dilation * n] = Fraction(seq(n))
+            n += 1
+        return PowerSeries(tuple(cs))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def first_nonzero(self) -> Optional[int]:
+        return next((i for i, c in enumerate(self.coeffs) if c != 0), None)
+
+
+def theta_apply(op: ThetaOperator, f: PowerSeries) -> PowerSeries:
+    """Exact action: x^a * p(theta) sends c_n x^n to p(n) c_n x^(n+a)."""
+    N = f.truncation
+    if N < op.span():
+        raise ValueError("truncation order below the operator span")
+    out = [Fraction(0)] * (N + 1)
+    for a, p in op.terms.items():
+        for n, c in enumerate(f.coeffs):
+            if c and n + a <= N:
+                out[n + a] += _horner(p, n) * c
+    return PowerSeries(tuple(out))
+
+
+def oracle_annihilation_check(op, seq, N, dilation=1):
+    """annihilation_check by applying the operator to the Fraction series."""
+    if N < 2:
+        raise ValueError("truncation order too small")
+    bad = theta_apply(op, PowerSeries.from_sequence(seq, N, dilation)).first_nonzero()
+    return (bad is None), bad
 
 
 def test_apery_values():
@@ -38,22 +87,16 @@ def test_domb_is_central_binomial_times_walk():
 
 
 def test_theta_on_monomial():
-    op = ThetaOperator("x", {0: tpoly((0, 1))})       # theta
-    f = PowerSeries("x", (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+    op = ThetaOperator({0: tpoly((0, 1))})       # theta
+    f = PowerSeries((Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
     out = theta_apply(op, f)
     assert out.coeffs == (Fraction(0), Fraction(0), Fraction(0), Fraction(3))
 
 
 def test_theta_cubed_kills_constants():
-    op = ThetaOperator("x", {0: tpoly((0, 1), (0, 1), (0, 1))})
-    f = PowerSeries("x", (Fraction(1), Fraction(0), Fraction(0)))
+    op = ThetaOperator({0: tpoly((0, 1), (0, 1), (0, 1))})
+    f = PowerSeries((Fraction(1), Fraction(0), Fraction(0)))
     assert theta_apply(op, f).is_zero()
-
-
-def test_variable_mismatch():
-    op = ThetaOperator("y", {0: (0, 1)})
-    with pytest.raises(ValueError):
-        theta_apply(op, PowerSeries("x", (Fraction(1), Fraction(0))))
 
 
 def test_apery_annihilation_to_50():
@@ -73,10 +116,34 @@ def test_apery_recurrence():
 def test_recurrence_agrees_with_theta_apply():
     for op in (apery_operator(), domb_operator(True), fermi_operator(True)):
         rec = operator_to_recurrence(op)
-        f = PowerSeries.from_sequence("x", apery, 30)
+        f = PowerSeries.from_sequence(apery, 30)
         res = theta_apply(op, f)
         for n in range(31):
             assert rec.residual(list(f.coeffs), n) == res.coeffs[n]
+
+
+def test_annihilation_check_matches_oracle():
+    """The recurrence-residual check against the operator applied to the
+    Fraction series: stated and corrected operators, both sequences, both
+    dilations, truncation orders from the smallest allowed upwards, the
+    first failing exponent and the below-span error included."""
+    ops = [apery_operator()] + [f(c) for f in (domb_operator, fermi_operator) for c in (False, True)]
+    failures = 0
+    for op in ops:
+        for seq in (apery, domb):
+            for dilation in (1, 2):
+                for N in (2, 3, 4, 5, 9, 24):
+                    try:
+                        expected = oracle_annihilation_check(op, seq, N, dilation)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            annihilation_check(op, seq, N, dilation)
+                        continue
+                    assert annihilation_check(op, seq, N, dilation) == expected
+                    failures += not expected[0]
+    assert failures
+    assert oracle_annihilation_check(domb_operator(False), domb, 30) == (False, 2)
+    assert oracle_annihilation_check(fermi_operator(False), apery, 20, 2) == (False, 2)
 
 
 def test_stated_domb_flagged():

@@ -1,6 +1,7 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
 runtime_ms of each of its checks, and coefficient-layer, MPoly-layer,
-polyops-layer and lattice-layer microbenchmarks.
+polyops-layer, rational-substitution, annihilation and lattice-layer
+microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
@@ -37,6 +38,12 @@ every microbenchmark as its value in each run and their median:
   path, at the size of the singular-locus eliminations), and per
   ``resultant`` in x over QQ(s) of two polynomials in x, y of x-degree 2
   and 3 (best of five timeit repeats);
+* ``series_us``: microseconds per ``substitute`` of the Cayley bindings
+  x -> (1+x)/(1-x), y -> (1+y)/(1-y), z -> (1+z)/(1-z) into the cleared
+  numerator of G = sum 1/(x^2-1) over QQ and of 1 + s + G over QQ(s), and
+  per ``annihilation_check`` of the Apery operator on the Apery numbers to
+  order 200 and of the stated Domb operator on the Domb numbers to order 50,
+  which fails at 2 (best of five timeit repeats);
 * ``lattice_us``: microseconds per ``rank_signature`` and
   ``smith_normal_form`` on the rows of the Gram matrix of the first
   surviving sheet assignment of the generic fibre (23 x 23, rank 19), and
@@ -72,6 +79,7 @@ OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
+SERIES_OPS = ("substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated")
 
 
 def _us_per_call(fn) -> float:
@@ -155,6 +163,31 @@ def polyops_micro() -> dict:
         "resultant QQ(s)": lambda: resultant(p, q, "x"),
     }
     return {op: _us_per_call(calls[op]) for op in POLYOPS_OPS}
+
+
+def series_micro() -> dict:
+    """Per rational substitution and annihilation check, microseconds per
+    call of the k3pencil on sys.path."""
+    from k3pencil import QQ, QS, parse_poly
+    from k3pencil.polyops import substitute
+    from k3pencil.series import annihilation_check, apery, apery_operator, domb, domb_operator
+
+    xyz = ("x", "y", "z")
+    g = "(y^2 - 1)*(z^2 - 1) + (x^2 - 1)*(z^2 - 1) + (x^2 - 1)*(y^2 - 1)"
+    pencil = f"{g} + (1 + s)*(x^2 - 1)*(y^2 - 1)*(z^2 - 1)"
+
+    def cayley(field):
+        return {v: (parse_poly(f"1 + {v}", field, xyz), parse_poly(f"1 - {v}", field, xyz)) for v in xyz}
+
+    g_qq, g_qs = parse_poly(g, QQ, xyz), parse_poly(pencil, QS, xyz)
+    bind_qq, bind_qs = cayley(QQ), cayley(QS)
+    calls = {
+        "substitute QQ": lambda: substitute(g_qq, bind_qq),
+        "substitute QQ(s)": lambda: substitute(g_qs, bind_qs),
+        "annihilation apery 200": lambda: annihilation_check(apery_operator(), apery, 200),
+        "annihilation domb stated": lambda: annihilation_check(domb_operator(False), domb, 50),
+    }
+    return {op: _us_per_call(calls[op]) for op in SERIES_OPS}
 
 
 def lattice_micro() -> Optional[dict]:
@@ -257,6 +290,7 @@ def main() -> None:
             "coefficient_us": coefficient_micro(),
             "mpoly_us": mpoly_micro(),
             "polyops_us": polyops_micro(),
+            "series_us": series_micro(),
             "lattice_us": lattice_micro(),
         }))
         return
@@ -275,6 +309,7 @@ def main() -> None:
         },
         "mpoly_us": {op: _ratio(base["mpoly_us"][op], change["mpoly_us"][op]) for op in MPOLY_OPS},
         "polyops_us": {op: _ratio(base["polyops_us"][op], change["polyops_us"][op]) for op in POLYOPS_OPS},
+        "series_us": {op: _ratio(base["series_us"][op], change["series_us"][op]) for op in SERIES_OPS},
         "lattice_us": (
             {op: _ratio(base["lattice_us"][op], change["lattice_us"][op]) for op in LATTICE_OPS}
             if base["lattice_us"] and change["lattice_us"]
