@@ -352,8 +352,12 @@ def milnor_ade_classify(
 ) -> SingularityReport:
     """Classify an isolated critical point with critical value 0 as A_k by
     corank computation and jet-level square completion.  Returns the report
-    with milnor number k."""
+    with milnor number k.  A corank-1 section (``_lift_section``) is accepted
+    only when one independent full-precision pass shows every gradient
+    vanishing on it to the jet order; that pass also gives the residual."""
     N = jet_order
+    if N < 2:
+        raise ValueError(f"jet order {N} < 2 truncates away the quadratic part")
     field = f.field
     vals = [field.coerce(p) for p in point]
     g = f.translate(vals).truncate(N)
@@ -428,32 +432,58 @@ def milnor_ade_classify(
     h = g.subst_polys(images).truncate(N)
     diag = [M[i][i] for i in range(rank)]
 
-    # restrict to the critical section: solve grad_x h(x, w) = 0 for the
-    # nondegenerate coordinates x as series in the kernel variable w, by
-    # Newton iteration with the constant Hessian block (order grows by at
-    # least one per step); the splitting-lemma residual is h on that section.
-    # h has no constant or linear terms, so phi keeps valuation >= 1 in w.
-    grads = [h.derivative(f.vars[i]) for i in range(rank)]
-    phi = [[field.zero] * (N + 1) for _ in range(rank)]
-    inv2d = [(d * 2).inv() for d in diag]
-
-    converged = False
-    for _ in range(N + 3):
-        gvals = _eval_on_section(grads, phi, N, field)
-        if all(c.is_zero() for gv in gvals for c in gv):
-            converged = True
-            break
-        phi = [[c - g * inv2d[i] for c, g in zip(phi[i], gvals[i])] for i in range(rank)]
-    if not converged:
-        raise ValueError("jet order exceeded: critical section did not stabilize")
-
-    (residual,) = _eval_on_section([h], phi, N, field)
+    grads = [h.derivative(v) for v in f.vars[:rank]]
+    phi = _lift_section(grads, diag, N, field)
+    *gvals, residual = _eval_on_section(grads + [h], phi, N, field)
+    if any(not c.is_zero() for gv in gvals for c in gv):
+        raise ValueError("critical section fails its full-precision certificate")
     m = next((d for d, c in enumerate(residual) if not c.is_zero()), None)
     if m is None:
         raise ValueError("jet order exceeded: kernel series vanishes to jet order")
     if m < 3:
         raise ValueError("kernel series has unexpected low order")
     return SingularityReport(_affine_point(field, vals), m - 1)
+
+
+def _lift_section(
+    grads: Sequence[MPoly], diag: Sequence[FieldElement], N: int, field: Field
+) -> list[list[FieldElement]]:
+    """The critical section x_i = phi_i(w) of grad_0 = .. = grad_{r-1} = 0,
+    the x-gradients of a jet h(x, w) without linear terms whose quadratic
+    part is sum d_i x_i^2, as dense series in w truncated after w^N, lifted
+    one coefficient at a time (relaxed evaluation; van der Hoeven, "Relax,
+    but don't be too lazy", J. Symbolic Comput. 34 (2002)).
+
+    So grad_i = 2 d_i x_i + q_i with every term of q_i(x, w) of total degree
+    >= 2.  With every phi_j of valuation >= 1, [w^k] q_i(phi, w) reads only
+    the phi_j[< k], so [w^k] grad_i(phi, w) = 0 forces
+    phi_i[k] = -[w^k] q_i(phi, w) / (2 d_i).  Hence the solution of
+    valuation >= 1 modulo w^(N+1) exists and is unique, and the fixed point
+    of the chord iteration phi <- phi - grad(phi) / (2 d), being such a
+    solution, is this one.  A monomial x^a, |a| >= 2, is built online from
+    x^b, b = a - e_i: its coefficient k is the sum over j >= 1 of
+    phi_i[j] * (x^b)[k - j], which reads only coefficients below k."""
+    zero, r = field.zero, len(diag)
+    phi = [[zero] * (N + 1) for _ in range(r)]
+    series = {tuple(int(j == i) for j in range(r)): phi[i] for i in range(r)}
+    series[(0,) * r] = [field.one] + [zero] * N
+    products = []
+
+    def mono(a: tuple) -> list:
+        if a not in series:
+            i = next(j for j, k in enumerate(a) if k)
+            series[a] = [zero] * (N + 1)
+            products.append((series[a], phi[i], mono(a[:i] + (a[i] - 1,) + a[i + 1 :])))
+        return series[a]
+
+    terms = [[(c, mono(e[:r]), sum(e[r:])) for e, c in g.terms.items() if sum(e) > 1] for g in grads]
+    scale = [-(d * 2).inv() for d in diag]
+    for k in range(1, N + 1):
+        for out, p, b in products:
+            out[k] = sum((p[j] * b[k - j] for j in range(1, k)), zero)
+        for i, ts in enumerate(terms):
+            phi[i][k] = sum((c * s[k - kw] for c, s, kw in ts if kw <= k), zero) * scale[i]
+    return phi
 
 
 def _eval_on_section(

@@ -9,8 +9,11 @@ against the exact path it replaces or the known answer.
   Fraction coefficients, and exact division in Z[t] (_zquo);
 * the QQ(s) and QQ(m) coprimality certificate in gcd_poly vs the Euclidean
   gcd;
-* the series Newton loop of milnor_ade_classify on A_k normal forms moved
-  by a random invertible linear change and translation;
+* the A_k classifier on A_k normal forms moved by a random invertible
+  linear change and translation, and its coefficient-by-coefficient lift of
+  the critical section vs the test-local chord loop it replaced (a full
+  evaluation at the jet order per step), on those forms over QQ and QQ(s)
+  and at every corank-1 point that ``singularities`` classifies;
 * the integer rank and signature rank_signature (symmetric Bareiss,
   Jacobi's sign rule) vs the test-local Fraction congruence
   diagonalization fraction_rank_signature, on symmetric integer matrices,
@@ -31,15 +34,24 @@ against the exact path it replaces or the known answer.
 
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from k3pencil import QQ, QS, QSA, MPoly, cover, parse_poly
+from k3pencil import QQ, QS, QSA, MPoly, cover, parse_poly, singular
 from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
 from k3pencil.field import QPoly, RatFunc, _zmul, _zquo, quadratic_field
 from k3pencil.lattice import GramLattice, disc_forms_isomorphic, lattice_invariants, rank_signature
+from k3pencil.pencil import (
+    GENERIC_BRANCH_POINTS,
+    QUARTIC_SINGULAR_TABLE,
+    branch_sextic,
+    branch_sextic_at,
+    fiber_singular_table,
+    radical_quartic,
+)
 from k3pencil.polyops import (
     COPRIME_TEST_POINTS,
     _coprime_by_specialization,
@@ -48,7 +60,15 @@ from k3pencil.polyops import (
     resultant,
     specialize,
 )
-from k3pencil.singular import ProjPoint, _fulton_multiplicity, _line_contact, milnor_ade_classify
+from k3pencil.singular import (
+    DEFAULT_JET_ORDER,
+    ProjPoint,
+    _eval_on_section,
+    _fulton_multiplicity,
+    _line_contact,
+    branch_ade_type,
+    milnor_ade_classify,
+)
 
 from gram_helpers import fraction_rank_signature, row_by_row_det
 
@@ -276,19 +296,22 @@ def test_qs_gcd_certificate_skips_bad_points():
     assert not _coprime_by_specialization(_mul_dense(a, c), _mul_dense(b, c))
 
 
-# -- the series Newton loop of the A_k classifier ------------------------------
+# -- the A_k classifier and its critical-section lift --------------------------
 
 VARS = ("x", "y", "z")
 
 
-def _a_k_moved(field, k, c, M, P):
+def _a_k_moved(field, k, c, M, P, corank_two=False):
     """X^2 + Y^2 + Z^(k+1) + c X Z^j with (X, Y, Z) = M (v - P): an A_k point
     at P.  2j > k + 1, so completing the square in X leaves the type alone
-    while the critical section becomes nonlinear."""
+    while the critical section becomes nonlinear.  With corank_two,
+    X^3 + Y^3 + Z^2 + c X Z^j instead, whose Hessian at P has rank 1."""
     gens = MPoly.gens(field, VARS)
     shifted = [g - p for g, p in zip(gens, P)]
     X, Y, Z = [sum((shifted[j] * M[i][j] for j in range(3)), MPoly.zero(field, VARS)) for i in range(3)]
     j = (k + 1) // 2 + 1
+    if corank_two:
+        return X ** 3 + Y ** 3 + Z * Z + X * Z ** j * c
     return X * X + Y * Y + Z ** (k + 1) + X * Z ** j * c
 
 
@@ -300,6 +323,43 @@ def _det3(M):
     )
 
 
+def chord_section(grads, N, field):
+    """The oracle: the fixed-precision chord loop that the lift replaced.
+    From phi = 0, phi_i <- phi_i - grad_i(phi) / (2 d_i), each step a full
+    evaluation at jet order N, until every gradient vanishes on the section
+    to order N; 2 d_i is the coefficient of x_i in grad_i.  It gains at
+    least one order per step."""
+    r = len(grads)
+    inv2d = [g.terms[tuple(int(j == i) for j in range(r + 1))].inv() for i, g in enumerate(grads)]
+    phi = [[field.zero] * (N + 1) for _ in range(r)]
+    for _ in range(N + 3):
+        gvals = _eval_on_section(grads, phi, N, field)
+        if all(c.is_zero() for gv in gvals for c in gv):
+            return phi
+        phi = [[c - g * inv2d[i] for c, g in zip(phi[i], gvals[i])] for i in range(r)]
+    raise AssertionError("the chord loop did not stabilize")
+
+
+def classify_against_chord_loop(f, P, N=DEFAULT_JET_ORDER):
+    """milnor_ade_classify(f, P).k, with the section that its one
+    certificate pass receives checked against the chord loop's, and k + 1
+    against the order of h on the chord loop's section.  A Morse point
+    makes no pass."""
+    with mock.patch.object(singular, "_eval_on_section", wraps=_eval_on_section) as spy:
+        k = milnor_ade_classify(f, P, jet_order=N).k
+    assert spy.call_count == (k > 1)
+    if k > 1:
+        (*grads, h), phi, n, field = spy.call_args.args
+        chord = chord_section(grads, n, field)
+        assert phi == chord
+        (residual,) = _eval_on_section([h], chord, n, field)
+        assert next(d for d, c in enumerate(residual) if not c.is_zero()) == k + 1
+    return k
+
+
+IDENTITY = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
 @SETTINGS
 @given(
     st.sampled_from([QQ, QS]),
@@ -307,8 +367,15 @@ def _det3(M):
     st.lists(rationals, min_size=9, max_size=9),
     st.lists(st.tuples(small_int, st.integers(-1, 1)), min_size=4, max_size=4),
     st.integers(0, 3),
+    st.booleans(),
 )
-def test_series_milnor_on_moved_normal_forms(field, k, m_entries, s_entries, spare):
+# k = 1 (a Morse point, no section), k = N - 1 at the default jet order over
+# QQ and QQ(s), and X^3 + Y^3 + Z^2 (corank 2)
+@example(QQ, 1, IDENTITY, [(1, 0), (0, 0), (0, 0), (0, 0)], 0, False)
+@example(QQ, DEFAULT_JET_ORDER - 1, [1, 2, 0, 0, 1, -1, 3, 0, 1], [(2, 0), (1, 0), (-1, 0), (0, 0)], 0, False)
+@example(QS, DEFAULT_JET_ORDER - 1, IDENTITY, [(1, 1), (0, 1), (2, 0), (0, -1)], 0, False)
+@example(QQ, 2, IDENTITY, [(0, 0), (0, 0), (0, 0), (0, 0)], 0, True)
+def test_series_milnor_on_moved_normal_forms(field, k, m_entries, s_entries, spare, corank_two):
     # the linear change is over QQ; the translation and the perturbation
     # carry s over QQ(s) (a generic change over QQ(s) makes the rational
     # function coefficients grow beyond what a test can wait for).  The jet
@@ -317,11 +384,44 @@ def test_series_milnor_on_moved_normal_forms(field, k, m_entries, s_entries, spa
     if _det3(M) == 0:
         return
     c, *P = [field.from_rat(a) + (field.s() * b if field.with_s else field.zero) for a, b in s_entries]
-    f = _a_k_moved(field, k, c, M, P)
-    assert milnor_ade_classify(f, P, jet_order=k + 1 + spare).k == k
+    f = _a_k_moved(field, k, c, M, P, corank_two)
+    if corank_two:
+        with pytest.raises(ValueError, match="corank >= 2"):
+            milnor_ade_classify(f, P, jet_order=k + 1 + spare)
+        return
+    assert classify_against_chord_loop(f, P, k + 1 + spare) == k
     if k > 1:
         with pytest.raises(ValueError, match="jet order"):
             milnor_ade_classify(f, P, jet_order=k)
+
+
+def test_section_lift_matches_chord_loop_at_the_classified_points():
+    # the points of the singularities command: the quartic's over QQ, the
+    # generic branch sextic's over QQ(s) and the special fibres' over QQ
+    points = [(radical_quartic(), ProjPoint(QQ, c), k) for c, k in QUARTIC_SINGULAR_TABLE]
+    points += [(branch_sextic(), ProjPoint(QS, c), branch_ade_type(m)) for c, m in GENERIC_BRANCH_POINTS]
+    for s0 in (1, -1):
+        points += [(branch_sextic_at(s0), ProjPoint(QQ, c), k) for c, k in fiber_singular_table(s0)]
+    for F, P, k in points:
+        assert classify_against_chord_loop(*P.affine(F)) == k
+    assert sum(k > 1 for _, _, k in points) == 14
+
+
+def test_certificate_rejects_a_wrong_section():
+    # an A_2 point whose section is nonlinear, with one coefficient of the
+    # lifted section changed at the jet order
+    f = parse_poly("x^2 + y^3 + x*y^2", QQ, ("x", "y"))
+    lift = singular._lift_section
+
+    def off_at_the_top(grads, diag, N, field):
+        phi = lift(grads, diag, N, field)
+        phi[0][N] = phi[0][N] + field.one
+        return phi
+
+    assert milnor_ade_classify(f, (0, 0)).k == 2
+    with mock.patch.object(singular, "_lift_section", off_at_the_top):
+        with pytest.raises(ValueError, match="certificate"):
+            milnor_ade_classify(f, (0, 0))
 
 
 # -- the integer rank and signature --------------------------------------------

@@ -81,6 +81,15 @@ def test_milnor_corank_two_rejected():
         milnor_ade_classify(f, (0, 0))
 
 
+@pytest.mark.parametrize("jet_order", [0, 1])
+def test_milnor_rejects_a_jet_without_the_quadratic_part(jet_order):
+    # truncating below degree 2 would report this Morse point as corank 2
+    f = parse_poly("x^2 + y^2", QQ, ("x", "y"))
+    with pytest.raises(ValueError, match=f"jet order {jet_order}"):
+        milnor_ade_classify(f, (0, 0), jet_order=jet_order)
+    assert milnor_ade_classify(f, (0, 0), jet_order=2).k == 1
+
+
 def test_branch_ade_type():
     assert branch_ade_type(1) == 1
     assert branch_ade_type(2) == 3

@@ -1,7 +1,7 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
 runtime_ms of each of its checks, and coefficient-layer, MPoly-layer,
-polyops-layer, rational-substitution, annihilation and lattice-layer
-microbenchmarks.
+polyops-layer, rational-substitution, annihilation, lattice-layer and
+geometry-layer microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
@@ -51,7 +51,13 @@ every microbenchmark as its value in each run and their median:
   the Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
   ``rank_signature`` takes the rows: on a checkout whose ``rank_signature``
   takes a ``GramLattice`` the pass is skipped, its ``lattice_us`` is null and
-  the ratio says why.
+  the ratio says why;
+* ``geometry_us``: microseconds per ``milnor_ade_classify`` at the radical
+  quartic's A3 point (0:0:0:1) and at its A2 point (0:1:1:0), each on the
+  chart ``ProjPoint.affine`` gives, and per ``double_cover_type`` of the
+  generic branch sextic over QQ(s) at its A5 point (1:0:0) (best of five
+  timeit repeats), built only through public functions, so any two versions
+  compare.
 
 ``ratio_change_over_base`` is change over base of the medians.  For the
 wall time and each microbenchmark it is ``{"ratio": r, "unresolved": u}``
@@ -79,6 +85,7 @@ OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
+GEOMETRY_OPS = ("milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)")
 SERIES_OPS = ("substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated")
 
 
@@ -212,6 +219,23 @@ def lattice_micro() -> Optional[dict]:
     return {op: _us_per_call(calls[op]) for op in LATTICE_OPS}
 
 
+def geometry_micro() -> dict:
+    """Per classifier call, microseconds per call of the k3pencil on sys.path."""
+    from k3pencil import QQ, QS
+    from k3pencil.pencil import GENERIC_BRANCH_POINTS, QUARTIC_SINGULAR_TABLE, branch_sextic, radical_quartic
+    from k3pencil.singular import ProjPoint, double_cover_type, milnor_ade_classify
+
+    quartic = radical_quartic()
+    a3, a2 = (ProjPoint(QQ, QUARTIC_SINGULAR_TABLE[i][0]).affine(quartic) for i in (0, 1))
+    sextic, a5 = branch_sextic(), ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])
+    calls = {
+        "milnor_ade_classify A3": lambda: milnor_ade_classify(*a3),
+        "milnor_ade_classify A2": lambda: milnor_ade_classify(*a2),
+        "double_cover_type A5 QQ(s)": lambda: double_cover_type(sextic, a5),
+    }
+    return {op: _us_per_call(calls[op]) for op in GEOMETRY_OPS}
+
+
 def _env(src: str, cache: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=cache)
 
@@ -292,6 +316,7 @@ def main() -> None:
             "polyops_us": polyops_micro(),
             "series_us": series_micro(),
             "lattice_us": lattice_micro(),
+            "geometry_us": geometry_micro(),
         }))
         return
     if not (args.base and args.change):
@@ -315,6 +340,7 @@ def main() -> None:
             if base["lattice_us"] and change["lattice_us"]
             else "skipped: a side's rank_signature does not take rows"
         ),
+        "geometry_us": {op: _ratio(base["geometry_us"][op], change["geometry_us"][op]) for op in GEOMETRY_OPS},
     }
     report = {
         "command": "python3 tools/bench_layers.py BASE_SRC CHANGE_SRC",
