@@ -11,11 +11,11 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Optional
 
-from . import __version__
+from . import __version__, series
 from .claims import FLAGGED_CHECKS, claim_ref
 from .field import QQ, QS
 from .lattice import LATTICE_RANK_MAX, lattice_invariants, standard_lattice
@@ -51,14 +51,11 @@ from .picard import analyze_fiber, reflection_isomorphism_check
 from .series import (
     OPERATORS,
     annihilation_check,
-    apery,
     apery_operator,
-    domb,
     domb_operator,
     fermi_operator,
     operator_singularities,
     operator_to_recurrence,
-    sum_a,
 )
 from .identities import (
     mandelstam_surface_check,
@@ -104,11 +101,13 @@ def record(check_id: str, ok: bool, details: dict, t0: float) -> dict:
 
 class Run:
     """What the checks of one report share: the series order `--n` (50 when
-    the command has none) and inputs used by several checks, each built on
-    first use so that it is timed with the first check needing it."""
+    the command has none), inputs used by several checks, each built on first
+    use so that it is timed with the first check needing it, and seq[name](i):
+    series.<name>(i), looked up in `series` when first computed, then cached."""
 
     def __init__(self, n: int):
         self.n = n
+        self.seq = {s: cache(lambda i, s=s: getattr(series, s)(i)) for s in ("apery", "sum_a", "domb")}
 
     @cached_property
     def branch_cubics(self):
@@ -259,15 +258,15 @@ def _reflection(pair):
 
 
 def _apery_sequence(run):
-    values = [apery(i) for i in range(6)]
+    seq = [run.seq["apery"](i) for i in range(101)]
+    values = seq[:6]
     rec = operator_to_recurrence(apery_operator())
-    seq = [apery(i) for i in range(101)]
     rec_ok = all(rec.residual(seq, m) == 0 for m in range(2, 101))
     return values[:4] == [1, 5, 73, 1445] and rec_ok, {"values": values, "recurrence": rec.describe()}
 
 
 def _apery_annihilation(run):
-    ok, bad = annihilation_check(apery_operator(), apery, max(run.n, 50))
+    ok, bad = annihilation_check(apery_operator(), run.seq["apery"], max(run.n, 50))
     return ok, {"order": max(run.n, 50), "first_fail": bad}
 
 
@@ -280,10 +279,12 @@ def _apery_singular_points(run):
 
 
 def _apery_index_note(run):
-    return apery(3) == 1445 and apery(4) == 33001 and apery(4) != 1445, {"A3": apery(3), "A4": apery(4)}
+    a3, a4 = map(run.seq["apery"], (3, 4))
+    return a3 == 1445 and a4 == 33001 and a4 != 1445, {"A3": a3, "A4": a4}
 
 
 def _domb_sequence(run):
+    domb, sum_a = run.seq["domb"], run.seq["sum_a"]
     values = [domb(i) for i in range(5)]
     prod_ok = all(domb(i) == comb(2 * i, i) * sum_a(i) for i in range(51))
     ok = values == [1, 6, 90, 1860, 44730] and prod_ok and sum_a(4) == 639
@@ -292,7 +293,7 @@ def _domb_sequence(run):
 
 def _domb_stated_operator(run):
     pred = operator_to_recurrence(domb_operator(False)).predict(Fraction(1), 2)
-    okf, bad = annihilation_check(domb_operator(False), domb, 30)
+    okf, bad = annihilation_check(domb_operator(False), run.seq["domb"], 30)
     rep = operator_singularities(domb_operator(False))
     return (not okf) and pred[2] == Fraction(825, 8), {
         "predicted_b2": pred[2],
@@ -303,7 +304,7 @@ def _domb_stated_operator(run):
 
 
 def _domb_corrected_operator(run):
-    ok, bad = annihilation_check(domb_operator(True), domb, max(run.n, 50))
+    ok, bad = annihilation_check(domb_operator(True), run.seq["domb"], max(run.n, 50))
     rep = operator_singularities(domb_operator(True))
     pts = rep.singular_points()
     return ok and pts == ["0", "1/4", "1/36", "inf"], {
@@ -316,13 +317,13 @@ def _domb_corrected_operator(run):
 
 
 def _fermi_stated_operator(run):
-    okf, bad = annihilation_check(fermi_operator(False), apery, 20, dilation=2)
+    okf, bad = annihilation_check(fermi_operator(False), run.seq["apery"], 20, dilation=2)
     return (not okf) and bad == 2, {"first_fail": bad}
 
 
 def _fermi_corrected_operator(run):
-    ok, bad = annihilation_check(fermi_operator(True), apery, max(run.n, 40), dilation=2)
-    ok_a, _ = annihilation_check(apery_operator(), apery, max(run.n, 40))
+    ok, bad = annihilation_check(fermi_operator(True), run.seq["apery"], max(run.n, 40), dilation=2)
+    ok_a, _ = annihilation_check(apery_operator(), run.seq["apery"], max(run.n, 40))
     return ok and ok_a, {"order": max(run.n, 40), "first_fail": bad, "pullback_coherent": ok == ok_a}
 
 
@@ -337,8 +338,9 @@ def _fermi_singularities_note(run):
 
 
 def _walk_sequence_index(run):
-    ok = [comb(2 * i, i) * sum_a(i) for i in range(5)] == [1, 6, 90, 1860, 44730]
-    return ok, {"a_values": [sum_a(i) for i in range(6)]}
+    a_values = [run.seq["sum_a"](i) for i in range(6)]
+    ok = [comb(2 * i, i) * a_values[i] for i in range(5)] == [1, 6, 90, 1860, 44730]
+    return ok, {"a_values": a_values}
 
 
 def _identity(check):
@@ -412,20 +414,20 @@ def run_check(check_id: str, fn, run: Run) -> dict:
     return record(check_id, ok, details, t0)
 
 
-def series_data(op: str, n: int, corrected: bool) -> dict:
-    """The data view of one operator: sequence values, recurrence coefficient
-    polynomials, annihilation status, and singular points."""
-    builder, seq, dilation = OPERATORS[op]
+def series_data(op: str, corrected: bool, run: Run) -> dict:
+    """The data view of one operator at the order run.n: sequence values,
+    recurrence coefficient polynomials, annihilation status, singular points."""
+    builder, name, dilation = OPERATORS[op]
     oper = builder() if op == "apery" else builder(corrected)
     rec = operator_to_recurrence(oper)
-    order = max(n, 2 * dilation)
-    ok, bad = annihilation_check(oper, seq, order, dilation=dilation)
+    order = max(run.n, 2 * dilation)
+    ok, bad = annihilation_check(oper, run.seq[name], order, dilation=dilation)
     rep = operator_singularities(oper)
     return _jsonable(
         {
             "operator": op,
             "corrected": corrected,
-            "coefficients": [seq(i) for i in range(min(n, 60) + 1)],
+            "coefficients": [run.seq[name](i) for i in range(min(run.n, 60) + 1)],
             "recurrence": rec.describe(),
             "annihilation_status": {"annihilates": ok, "order": order, "first_fail": bad},
             "symbol": rep.symbol_str,
@@ -450,8 +452,8 @@ def lines_data(s_value: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: The largest series order `--n`.  The cost of the series checks grows
-#: steeply with it: about 7 s at 500 and 90 s at 1000 on a 2-core VM.
+#: The largest series order `--n`.  The series checks cost about 0.35 s at
+#: 500 (`series --n 500` as a subprocess) and 2.4 s at 1000 on a 2-core VM.
 SERIES_ORDER_MAX = 500
 
 
@@ -552,7 +554,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     elif args.command == "picard" and args.fiber != "all" and checks:
         extra = checks[0]["details"]
     elif args.command == "series" and args.op in OPERATORS:
-        extra = series_data(args.op, args.n, args.corrected)
+        extra = series_data(args.op, args.corrected, run)
     if extra:
         report["data"] = extra
     header["total_ms"] = int((time.perf_counter() - t0) * 1000)

@@ -104,17 +104,30 @@ def annihilation_check(
 
 
 def apery(n: int) -> int:
-    """A_n = sum_k C(n,k)^2 C(n+k,k)^2."""
+    """A_n = sum_k C(n,k)^2 C(n+k,k)^2, the defining sum and not the Apery
+    recurrence, so the annihilation check is not circular.  c = C(n,k) C(n+k,k)
+    advances by its ratio (n-k)(n+k+1)/(k+1)^2, exactly: the quotient is the next c."""
     if n < 0:
         raise ValueError("negative index")
-    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
+    total = c = 1
+    for k in range(n):
+        c = c * (n - k) * (n + k + 1) // (k + 1) ** 2
+        total += c * c
+    return total
 
 
 def sum_a(n: int) -> int:
-    """a_n = sum_k C(n,k)^2 C(2k,k) (cubic-lattice walk building block)."""
+    """a_n = sum_k C(n,k)^2 C(2k,k) (cubic-lattice walk building block), the
+    defining sum as for apery; b = C(n,k) and m = C(2k,k) advance by their ratios
+    (n-k)/(k+1) and 2(2k+1)/(k+1), exactly: each quotient is the next binomial."""
     if n < 0:
         raise ValueError("negative index")
-    return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
+    total = b = m = 1
+    for k in range(n):
+        b = b * (n - k) // (k + 1)
+        m = m * 2 * (2 * k + 1) // (k + 1)
+        total += b * b * m
+    return total
 
 
 def domb(n: int) -> int:
@@ -161,9 +174,9 @@ def domb_operator(corrected: bool = False) -> ThetaOperator:
 
 
 OPERATORS = {
-    "apery": (apery_operator, apery, 1),
-    "fermi": (fermi_operator, apery, 2),
-    "domb": (domb_operator, domb, 1),
+    "apery": (apery_operator, "apery", 1),
+    "fermi": (fermi_operator, "apery", 2),
+    "domb": (domb_operator, "domb", 1),
 }
 
 

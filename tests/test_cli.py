@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from k3pencil import __version__, cli, lattice
+from k3pencil import __version__, cli, lattice, series
 from k3pencil.claims import CLAIMS, FLAGGED_CHECKS
 from k3pencil.cli import CHECKS, build_parser, main
 from k3pencil.singular import DEFAULT_JET_ORDER
@@ -61,11 +61,11 @@ def test_only_computes_just_the_named_identity(monkeypatch, capsys):
 
 
 def test_raising_check_becomes_fail_record(monkeypatch, capsys):
-    def boom(n):
+    def boom(*args):
         raise RuntimeError("boom")
 
-    # sum_a is used by domb-sequence only among the domb checks
-    monkeypatch.setattr(cli, "sum_a", boom)
+    # comb is used by domb-sequence only among the domb checks
+    monkeypatch.setattr(cli, "comb", boom)
     code = main(["series", "--op", "domb"])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
@@ -78,6 +78,26 @@ def test_raising_check_becomes_fail_record(monkeypatch, capsys):
     assert by_id["domb-corrected-operator"]["status"] == "pass"
     assert report["data"]["operator"] == "domb"
     assert "RuntimeError: boom" in captured.err
+
+
+def test_sequence_terms_computed_once_per_command(monkeypatch, capsys):
+    """The Run memoizes each A_n for one command only: every check and the
+    data view of `series --op apery` read A_0..A_100 (apery-sequence tests
+    the recurrence to 100), each computed once, and a second command
+    computes them all again."""
+    calls = []
+    real = series.apery
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(series, "apery", counting)
+    for _ in range(2):
+        calls.clear()
+        assert main(["series", "--op", "apery", "--n", "60"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == list(range(101))
 
 
 def test_check_table_matches_claims():

@@ -70,6 +70,24 @@ def oracle_annihilation_check(op, seq, N, dilation=1):
     return (bad is None), bad
 
 
+def _apery_oracle(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
+
+
+def _sum_a_oracle(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
+
+
+def test_running_binomials_match_the_defining_sums():
+    """apery, sum_a and domb advance their binomials by exact ratios; the
+    defining math.comb sums are the oracle."""
+    for n in range(301):
+        a = _sum_a_oracle(n)
+        assert apery(n) == _apery_oracle(n), n
+        assert sum_a(n) == a, n
+        assert domb(n) == comb(2 * n, n) * a, n
+
+
 def test_apery_values():
     assert [apery(n) for n in range(4)] == [1, 5, 73, 1445]
     assert apery(4) == 33001

@@ -43,7 +43,8 @@ every microbenchmark as its value in each run and their median:
   numerator of G = sum 1/(x^2-1) over QQ and of 1 + s + G over QQ(s), and
   per ``annihilation_check`` of the Apery operator on the Apery numbers to
   order 200 and of the stated Domb operator on the Domb numbers to order 50,
-  which fails at 2 (best of five timeit repeats);
+  which fails at 2, and per prefix A_0..A_200 of ``apery`` and b_0..b_200 of
+  ``domb`` (best of five timeit repeats);
 * ``lattice_us``: microseconds per ``rank_signature`` and
   ``smith_normal_form`` on the rows of the Gram matrix of the first
   surviving sheet assignment of the generic fibre (23 x 23, rank 19), and
@@ -58,6 +59,9 @@ every microbenchmark as its value in each run and their median:
   generic branch sextic over QQ(s) at its A5 point (1:0:0) (best of five
   timeit repeats), built only through public functions, so any two versions
   compare.
+
+Each timeit repeat makes the same number of calls, the first of 1, 2, 5,
+10, 20, ... whose calls last at least REPEAT_S seconds.
 
 ``ratio_change_over_base`` is change over base of the medians.  For the
 wall time and each microbenchmark it is ``{"ratio": r, "unresolved": u}``
@@ -80,19 +84,26 @@ import timeit
 from typing import Optional
 
 RUNS = 7
+REPEAT_S = 0.05
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
 GEOMETRY_OPS = ("milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)")
-SERIES_OPS = ("substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated")
+SERIES_OPS = (
+    "substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated",
+    "apery 0..200", "domb 0..200",
+)
 
 
 def _us_per_call(fn) -> float:
-    """Microseconds per call of fn: the best of five timeit repeats."""
+    """Microseconds per call of fn: the best of five timeit repeats of the
+    first call count in 1, 2, 5, 10, 20, ... whose calls last REPEAT_S."""
     timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
+    for number in (m * 10 ** e for e in range(9) for m in (1, 2, 5)):
+        if timer.timeit(number) >= REPEAT_S:
+            break
     return round(min(timer.repeat(5, number)) / number * 1e6, 3)
 
 
@@ -173,8 +184,8 @@ def polyops_micro() -> dict:
 
 
 def series_micro() -> dict:
-    """Per rational substitution and annihilation check, microseconds per
-    call of the k3pencil on sys.path."""
+    """Per rational substitution, annihilation check and sequence prefix,
+    microseconds per call of the k3pencil on sys.path."""
     from k3pencil import QQ, QS, parse_poly
     from k3pencil.polyops import substitute
     from k3pencil.series import annihilation_check, apery, apery_operator, domb, domb_operator
@@ -193,6 +204,8 @@ def series_micro() -> dict:
         "substitute QQ(s)": lambda: substitute(g_qs, bind_qs),
         "annihilation apery 200": lambda: annihilation_check(apery_operator(), apery, 200),
         "annihilation domb stated": lambda: annihilation_check(domb_operator(False), domb, 50),
+        "apery 0..200": lambda: [apery(i) for i in range(201)],
+        "domb 0..200": lambda: [domb(i) for i in range(201)],
     }
     return {op: _us_per_call(calls[op]) for op in SERIES_OPS}
 
