@@ -264,9 +264,9 @@ def _block_int(text: str, block: str) -> int:
 def rank_signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
     """(rank, n_plus, n_minus, n_zero) of the symmetric integer matrix with
     these rows, by a symmetric fraction-free (Bareiss) elimination on
-    ``int`` rows.  It is the one rank computation of the package: the rank
-    filter of the Picard enumeration, degeneracy in ``lattice_invariants``
-    and every signature read it.
+    ``int`` rows.  It is the one rank computation of the package: the
+    Picard rank filter's head and Schur complements, degeneracy in
+    ``lattice_invariants`` and every signature read it.
 
     Eliminating with the diagonal pivot a_kk is a congruence, and after k
     pivots every entry of the trailing block is the minor on the first k
@@ -435,12 +435,12 @@ def discriminant_group_form(L: GramLattice, signature: tuple[int, int, int, int]
     return LatticeInvariants(rank, (pos, neg, zero), tuple(orders), disc)
 
 
-def lattice_invariants(L: GramLattice) -> LatticeInvariants:
+def lattice_invariants(L: GramLattice, signature: Optional[tuple] = None) -> LatticeInvariants:
     """Invariants after passing to the radical quotient M when degenerate,
-    that is when ``rank_signature`` counts a zero.  The form factors
-    through L/rad, so by Sylvester's law of inertia M has the signature of
-    L without its zeros, and L keeps its own: one elimination serves both."""
-    signature = rank_signature(L.gram)
+    that is when the signature (``rank_signature``, unless the caller has
+    it) counts a zero.  The form factors through L/rad, so by Sylvester's
+    law M has L's signature without its zeros: one elimination serves both."""
+    signature = signature or rank_signature(L.gram)
     rank, pos, neg, zero = signature
     if not zero:
         return discriminant_group_form(L, signature)

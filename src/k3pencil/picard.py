@@ -1,7 +1,7 @@
 """Divisor configurations on the fibres, enumeration of the sheet-ambiguous
-intersection numbers under the integer rank filter, Picard/transcendental
-lattice invariants, and the reflection identifying the remaining special
-fibres.
+intersection numbers under a rank filter by Schur complements on the line
+rows, Picard/transcendental lattice invariants, and the reflection
+identifying the remaining special fibres.
 
 The exceptional-divisor incidences of the lifted lines are derived from
 exact local geometry: a line through a singular point of the branch sextic
@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Optional, Sequence, Union
+from math import lcm
+from typing import Iterator, Optional, Sequence, Union
 
 from .field import QQ, QS
 from .mpoly import MPoly
@@ -33,9 +34,11 @@ from .lattice import (
     LatticeInvariants,
     fingerprints_match,
     lattice_invariants,
+    mat_mul,
     rank_signature,
     smith_normal_form,
     standard_lattice,
+    transpose,
 )
 from .singular import ProjPoint, intersection_multiplicity, multiplicity_at
 
@@ -222,22 +225,59 @@ def build_divisor_config(fiber: Union[str, int, Fraction]) -> DivisorConfig:
     return DivisorConfig(key, tuple(labels), base, ambiguous, chain_points, lines)
 
 
+def _sheet_inertias(config: DivisorConfig) -> Iterator[tuple[tuple, tuple[int, int, int, int]]]:
+    """Each sheet assignment with the ``rank_signature`` of its completion
+    M = [[A, B], [B^T, D]]: the head A (H, chains) and the line block D are
+    fixed, B = F + the sum of E_s (a 1 at head row c, line r) over the chosen
+    slots.  The congruence [[I, -A^-1 B], [0, I]] takes M to A + S, with
+    S = D - B^T A^-1 B, so In(M) = In(A) + In(S) (Haynsworth, Linear Algebra
+    Appl. 1, 1968), and l S = l D - B^T X B, X = l A^-1, l > 0, has the
+    inertia of S.  X is built for A = <2> + sum of -C_k, (k + 1) C_k^-1 being
+    min(a, b) (k + 1 - max(a, b)) and l = lcm(2, k + 1), and certified by
+    A X = l I, else ``ValueError``.  With the slots distinct and zero in F
+    (checked), l S = S0 - sum_s (v_s e_r^T + e_r v_s^T) - sum_(s,t) X[c_s][c_t]
+    e_(r_s) e_(r_t)^T, where S0 = l D - F^T X F and v_s = row c_s of X F."""
+    base, h = config.base, len(config.labels) - len(config.lines)
+    sizes = [len(cp.chain_labels()) for cp in config.chain_points]
+    scale = lcm(2, *(k + 1 for k in sizes))
+    x, start = [[0] * h for _ in range(h)], 1
+    x[0][0] = scale // 2
+    for k in sizes:
+        for a, b in product(range(k), repeat=2):
+            x[start + a][start + b] = -(scale // (k + 1)) * (min(a, b) + 1) * (k - max(a, b))
+        start += k
+    head, f = [row[:h] for row in base[:h]], [row[h:] for row in base[:h]]
+    slots = [[(c, r - h) for r, c in pair] for pair in config.ambiguous_pairs]
+    free = {(c, r) for pair in slots for c, r in pair if not f[c][r]}
+    if mat_mul(head, x) != [[scale * (i == j) for j in range(h)] for i in range(h)] or len(free) < 2 * len(slots):
+        raise ValueError("divisor configuration head is not <2> + chains with free line slots")
+    _, pos, neg, _ = rank_signature(head)
+    xf = mat_mul(x, f)
+    s0 = [[scale * d - e for d, e in zip(dr[h:], er)] for dr, er in zip(base[h:], mat_mul(transpose(f), xf))]
+    for bits in product((0, 1), repeat=len(slots)):
+        chosen = [pair[bit] for bit, pair in zip(bits, slots)]
+        s = [row[:] for row in s0]
+        for c, r in chosen:
+            for j, v in enumerate(xf[c]):
+                s[r][j] -= v
+                s[j][r] -= v
+            for c2, r2 in chosen:
+                s[r][r2] -= x[c][c2]
+        rank, p, q, zero = rank_signature(s)
+        yield bits, (h + rank, pos + p, neg + q, zero)
+
+
 def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20) -> FiberResult:
     """Run through all sheet assignments, keep those whose completed Gram
-    matrix has rank at most the bound (the integer rank filter: the exact
-    rank of ``rank_signature``, read on the rows), and extract the common
-    invariants of the survivors.  The completions are symmetric by
-    construction, as ``DivisorConfig.complete`` sets both slots of each
-    pair."""
-    completions = [
-        (bits, config.complete(bits)) for bits in product((0, 1), repeat=len(config.ambiguous_pairs))
-    ]
-    survivors = [(bits, m) for bits, m in completions if rank_signature(m)[0] <= rank_bound]
+    matrix has rank at most the bound, and extract the common invariants of
+    the survivors.  The rank is exact, with no fallback: Haynsworth's In(A)
+    + In(S) of ``_sheet_inertias``, under the congruence [[I, -A^-1 B], [0,
+    I]] on the certified head A.  Only survivors are completed, and their
+    inertia is handed on to ``lattice_invariants``."""
+    survivors = [(b, config.complete(b), sig) for b, sig in _sheet_inertias(config) if sig[0] <= rank_bound]
     if not survivors:
         raise ValueError("no assignment satisfies the rank bound")
-    invs = []
-    for bits, m in survivors:
-        invs.append(lattice_invariants(GramLattice.from_rows(m, config.labels)))
+    invs = [lattice_invariants(GramLattice.from_rows(m, config.labels), sig) for _, m, sig in survivors]
     first = invs[0]
     for other in invs[1:]:
         if not fingerprints_match(first, other):
@@ -252,8 +292,8 @@ def enumerate_and_filter(config: DivisorConfig, rank_bound: int = 20) -> FiberRe
     return FiberResult(
         fiber=config.fiber,
         survivor_count=len(survivors),
-        assignments=[bits for bits, _ in survivors],
-        completions=[m for _, m in survivors],
+        assignments=[bits for bits, _, _ in survivors],
+        completions=[m for _, m, _ in survivors],
         labels=config.labels,
         picard=first,
         transcendental=transc,

@@ -18,6 +18,11 @@ against the exact path it replaces or the known answer.
   Jacobi's sign rule) vs the test-local Fraction congruence
   diagonalization fraction_rank_signature, on symmetric integer matrices,
   rank-deficient ones and zero diagonals included;
+* the Picard rank filter's inertias by Haynsworth additivity (the head plus
+  a Schur complement on the line rows) vs rank_signature and
+  fraction_rank_signature of the completed matrix, on all 288 sheet
+  assignments of the three fibres and on random borders of random
+  <2> + (-C_k) heads, and its certificate rejecting a changed head;
 * the odd-contact certificate at CONTACT_PLACE vs the exact squarefree
   path of even_contact_test on binary forms over QQ(s)(alpha) = QQ(m), and
   the exact path alone on two odd forms of degree 5 and 4;
@@ -52,6 +57,7 @@ from k3pencil.pencil import (
     fiber_singular_table,
     radical_quartic,
 )
+from k3pencil.picard import ChainPoint, DivisorConfig, _sheet_inertias, build_divisor_config, enumerate_and_filter
 from k3pencil.polyops import (
     COPRIME_TEST_POINTS,
     _coprime_by_specialization,
@@ -464,6 +470,79 @@ def test_rank_signature_of_empty_matrix():
 @example([[2, 4], [4, 8]])
 def test_integer_signature_matches_fraction_diagonalization(m):
     assert rank_signature(m) == fraction_rank_signature(m)
+
+
+# -- the Picard rank filter by Schur complements ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def fiber_configs():
+    return [build_divisor_config(fiber) for fiber in ("generic", 1, -1)]
+
+
+def test_schur_inertias_match_both_eliminations_on_all_assignments(fiber_configs):
+    seen = 0
+    for cfg in fiber_configs:
+        for bits, inertia in _sheet_inertias(cfg):
+            m = cfg.complete(bits)
+            assert inertia == rank_signature(m) == fraction_rank_signature(m)
+            seen += 1
+    assert seen == 288
+
+
+@st.composite
+def bordered_heads(draw):
+    """A DivisorConfig with a random <2> + (-C_k) head (k odd, as
+    ChainPoint.chain_labels gives k labels only then), a random border of
+    line rows and random distinct ambiguous slots in it."""
+    ks = draw(st.lists(st.sampled_from((1, 3, 5)), min_size=1, max_size=3))
+    points = [ChainPoint(i, None, k, []) for i, k in enumerate(ks, start=1)]
+    h, lines = 1 + sum(ks), draw(st.integers(1, 5))
+    n = h + lines
+    base = [[0] * n for _ in range(n)]
+    base[0][0], start = 2, 1
+    for k in ks:
+        for a in range(k):
+            base[start + a][start + a] = -2
+            if a + 1 < k:
+                base[start + a][start + a + 1] = base[start + a + 1][start + a] = 1
+        start += k
+    for i in range(h, n):
+        for j in range(i + 1):
+            base[i][j] = base[j][i] = draw(st.integers(-2, 2))
+    cells = [(r, c) for r in range(h, n) for c in range(h)]
+    free = draw(st.lists(st.sampled_from(cells), unique=True, max_size=min(8, len(cells))))
+    for r, c in free:
+        base[r][c] = base[c][r] = 0
+    pairs = [(free[i], free[i + 1]) for i in range(0, len(free) - 1, 2)]
+    labels = tuple(f"g{i}" for i in range(n))
+    return DivisorConfig("test", labels, base, pairs, points, [None] * lines)
+
+
+@SETTINGS
+@given(bordered_heads())
+def test_schur_inertias_match_the_completed_matrix(cfg):
+    got = list(_sheet_inertias(cfg))
+    assert len(got) == 2 ** len(cfg.ambiguous_pairs)
+    for bits, inertia in got:
+        m = cfg.complete(bits)
+        assert inertia == rank_signature(m) == fraction_rank_signature(m)
+
+
+def _altered(cfg, i, j, value):
+    base = [row[:] for row in cfg.base]
+    base[i][j] = base[j][i] = value
+    return DivisorConfig(cfg.fiber, cfg.labels, base, cfg.ambiguous_pairs, cfg.chain_points, cfg.lines)
+
+
+def test_schur_certificate_rejects_a_changed_head(fiber_configs):
+    cfg = fiber_configs[0]
+    ix = {label: i for i, label in enumerate(cfg.labels)}
+    # a broken chain link, a chain meeting H, and an ambiguous slot already set
+    (row, col), _ = cfg.ambiguous_pairs[0]
+    for i, j, value in ((ix["E1,1"], ix["E1,2"], 0), (ix["H"], ix["E2,0"], 1), (row, col, 1)):
+        with pytest.raises(ValueError, match="head is not"):
+            enumerate_and_filter(_altered(cfg, i, j, value))
 
 
 # -- line contact by restriction -----------------------------------------------

@@ -192,6 +192,15 @@ def test_integer_rank_matches_rank_signature(fiber_configs):
 
 
 def test_enumeration_pinned_with_one_elimination_per_assignment(fiber_configs, monkeypatch):
+    # per fibre: one elimination of the head, one of the line-square Schur
+    # complement per assignment, then one per lattice_invariants call on the
+    # two model lattices (Picard, transcendental); each survivor hands the
+    # inertia of the filter on to lattice_invariants
+    expected = []
+    for cfg in fiber_configs.values():
+        models = [standard_lattice(spec).dim for spec in picard.FIBER_MODELS[cfg.fiber]]
+        head = len(cfg.labels) - len(cfg.lines)
+        expected += [head] + [len(cfg.lines)] * 2 ** len(cfg.ambiguous_pairs) + models
     calls = []
     exact = lattice.rank_signature
 
@@ -205,10 +214,10 @@ def test_enumeration_pinned_with_one_elimination_per_assignment(fiber_configs, m
         res = enumerate_and_filter(cfg)
         assert res.survivor_count == 4
         assert res.assignments == PINNED_ASSIGNMENTS[fiber]
-    # one elimination per assignment for the rank filter, then one per
-    # lattice_invariants call, which hands its signature on to the form, on
-    # each survivor and model lattice (Picard, transcendental)
-    assert len(calls) == 288 + 3 * (4 + 2)
+    assert calls == expected
+    assert len(calls) == 288 + 3 * (1 + 2)
+    # no full-size elimination, on a survivor or any other completion
+    assert not set(calls) & {len(cfg.labels) for cfg in fiber_configs.values()}
 
 
 def test_rank_bound_flag():

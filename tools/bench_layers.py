@@ -1,7 +1,7 @@
 """A/B timing of two k3pencil checkouts: `k3pencil all` end to end, the
 runtime_ms of each of its checks, and coefficient-layer, MPoly-layer,
-polyops-layer, rational-substitution, annihilation, lattice-layer and
-geometry-layer microbenchmarks.
+polyops-layer, rational-substitution, annihilation, lattice-layer,
+Picard-filter and geometry-layer microbenchmarks.
 
     python3 tools/bench_layers.py BASE_SRC CHANGE_SRC > BENCH.json
 
@@ -53,6 +53,13 @@ every microbenchmark as its value in each run and their median:
   ``rank_signature`` takes the rows: on a checkout whose ``rank_signature``
   takes a ``GramLattice`` the pass is skipped, its ``lattice_us`` is null and
   the ratio says why;
+* ``picard_us``: per fibre (generic, s1, s-1), microseconds per
+  ``enumerate_and_filter`` of the fibre's ``build_divisor_config``, built
+  before the timing, and per ``filter``: the same call with rank bound -1,
+  below every rank, which runs the rank filter on every sheet assignment
+  and ends in its "no assignment satisfies the rank bound" ValueError, so
+  it times the filter alone (best of five timeit repeats), through public
+  functions only, so any two versions compare;
 * ``geometry_us``: microseconds per ``milnor_ade_classify`` at the radical
   quartic's A3 point (0:0:0:1) and at its A2 point (0:1:1:0), each on the
   chart ``ProjPoint.affine`` gives, and per ``double_cover_type`` of the
@@ -90,6 +97,8 @@ OPS = ("mul", "add", "sub", "inv")
 LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
+PICARD_FIBERS = (("generic", "generic"), ("s1", 1), ("s-1", -1))
+PICARD_OPS = tuple(f"{op} {name}" for name, _ in PICARD_FIBERS for op in ("enumerate_and_filter", "filter"))
 GEOMETRY_OPS = ("milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)")
 SERIES_OPS = (
     "substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated",
@@ -232,6 +241,26 @@ def lattice_micro() -> Optional[dict]:
     return {op: _us_per_call(calls[op]) for op in LATTICE_OPS}
 
 
+def picard_micro() -> dict:
+    """Per fibre, microseconds per ``enumerate_and_filter`` and per run of
+    its rank filter alone, of the k3pencil on sys.path."""
+    from k3pencil.picard import build_divisor_config, enumerate_and_filter
+
+    def filter_only(cfg):
+        try:
+            enumerate_and_filter(cfg, rank_bound=-1)
+        except ValueError as e:
+            if "rank bound" not in str(e):
+                raise
+
+    out = {}
+    for name, fiber in PICARD_FIBERS:
+        cfg = build_divisor_config(fiber)
+        out[f"enumerate_and_filter {name}"] = _us_per_call(lambda: enumerate_and_filter(cfg))
+        out[f"filter {name}"] = _us_per_call(lambda: filter_only(cfg))
+    return out
+
+
 def geometry_micro() -> dict:
     """Per classifier call, microseconds per call of the k3pencil on sys.path."""
     from k3pencil import QQ, QS
@@ -329,6 +358,7 @@ def main() -> None:
             "polyops_us": polyops_micro(),
             "series_us": series_micro(),
             "lattice_us": lattice_micro(),
+            "picard_us": picard_micro(),
             "geometry_us": geometry_micro(),
         }))
         return
@@ -353,6 +383,7 @@ def main() -> None:
             if base["lattice_us"] and change["lattice_us"]
             else "skipped: a side's rank_signature does not take rows"
         ),
+        "picard_us": {op: _ratio(base["picard_us"][op], change["picard_us"][op]) for op in PICARD_OPS},
         "geometry_us": {op: _ratio(base["geometry_us"][op], change["geometry_us"][op]) for op in GEOMETRY_OPS},
     }
     report = {
