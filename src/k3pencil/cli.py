@@ -33,7 +33,6 @@ from .singular import (
     ProjPoint,
     branch_ade_type,
     double_cover_type,
-    milnor_ade_classify,
     verify_curve_intersections,
     verify_singular_locus,
 )
@@ -123,16 +122,10 @@ class Run:
 
 
 def _quartic_singular_locus(run):
-    Q = radical_quartic()
     pts = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
-    rep = verify_singular_locus(Q, pts)
-    rows = []
-    types_ok = True
-    for coords, k in QUARTIC_SINGULAR_TABLE:
-        P = ProjPoint(QQ, coords)
-        r = milnor_ade_classify(*P.affine(Q))
-        types_ok = types_ok and r.k == k
-        rows.append({"point": str(P), "type": f"A{r.k}", "milnor": r.milnor_number})
+    rep = verify_singular_locus(radical_quartic(), pts)
+    rows = [{"point": str(r.point), "type": f"A{r.k}", "milnor": r.milnor_number} for r in rep.verified]
+    types_ok = [r.k for r in rep.verified] == [k for _, k in QUARTIC_SINGULAR_TABLE]
     return rep.ok and types_ok, {"complete": rep.ok, "witness": rep.witness, "rows": rows}
 
 
@@ -166,15 +159,12 @@ def _branch_generic_cover_types(run):
 
 
 def _fiber_singular_locus(s0: int):
-    sex = branch_sextic_at(s0)
+    """The k of each row is the branch curve's, which is the double cover's
+    (``double_cover_type``)."""
     table = fiber_singular_table(s0)
-    rep = verify_singular_locus(sex, [ProjPoint(QQ, c) for c, _ in table])
-    rows = []
-    ok = rep.ok
-    for coords, k in table:
-        r = double_cover_type(sex, ProjPoint(QQ, coords))
-        ok = ok and r.k == k
-        rows.append({"point": str(ProjPoint(QQ, coords)), "type": f"A{r.k}", "milnor": r.k})
+    rep = verify_singular_locus(branch_sextic_at(s0), [ProjPoint(QQ, c) for c, _ in table])
+    ok = rep.ok and [r.k for r in rep.verified] == [k for _, k in table]
+    rows = [{"point": str(r.point), "type": f"A{r.k}", "milnor": r.k} for r in rep.verified]
     return ok, {"complete": rep.ok, "rows": rows}
 
 

@@ -2,30 +2,28 @@
 splitting-lemma jet reduction, and intersection multiplicities of plane
 curves.
 
-Completeness of a singular locus is certified by elimination: cascaded
-pairwise resultants of the partials bound the possible coordinates of
-solutions, gcds across several cascade orders strip extraneous factors, and
-candidate fibres are re-verified by exact substitution.  Over QQ(s) a
-nonzero eliminant that is constant in the curve variables certifies
-smoothness for generic s.
+A singular locus is certified complete by one length count: the candidates'
+types A_k must add up to the length of the scheme cut out by the partials,
+read off a grevlex Groebner basis of the Jacobian ideal
+(``certify_affine_solutions``).  Over QQ(s), smoothness for generic s is
+the same certificate with no candidates at one rational s0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import permutations
+from fractions import Fraction
+from itertools import product
+from math import gcd
+from operator import add, itemgetter, le, sub
 from typing import Optional, Sequence
 
-from .field import Field, FieldElement
+from .field import QQ, QS, Field, FieldElement, _zclear
 from .mpoly import MPoly
-from .polyops import gcd_bivariate, gcd_poly, resultant
+from .polyops import gcd_bivariate, resultant, specialize
 
 #: The jet bound of the A_k classifier.
 DEFAULT_JET_ORDER = 10
-
-#: The smallest eliminations a cascade level keeps; further ones are kept
-#: only while the kept set has a nonconstant gcd.
-PAIR_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +91,7 @@ class SingularityReport:
 @dataclass
 class LocusReport:
     status: str                      # "complete" | "fail"
+    # SingularityReports of a singular locus, ProjPoints of an intersection
     verified: list = dc_field(default_factory=list)
     witness: Optional[str] = None
 
@@ -102,244 +101,236 @@ class LocusReport:
 
 
 # ---------------------------------------------------------------------------
-# certified affine solving (solutions of a 0-dimensional system == candidates)
+# singular loci by a Tjurina-length certificate
 # ---------------------------------------------------------------------------
 
+#: Integer linear forms, in order, for the form l that the length certificate
+#: puts last; on n variables a form is its first n entries.
+LINEAR_FORMS = ((1, 2, 3, 5), (2, 3, 5, 7), (3, 5, 7, 11), (5, 7, 11, 13))
 
-def _used_vars(p: MPoly) -> tuple:
-    used = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                used.add(p.vars[i])
-    return tuple(v for v in p.vars if v in used)
+#: The values s0, in order, at which smoothness over QQ(s) is certified.
+SMOOTHNESS_S_VALUES = (3, 5, 7, 11, 13)
 
 
-def _gcd_generic(a: MPoly, b: MPoly) -> Optional[MPoly]:
-    """Gcd of polynomials in at most two effective variables; None when the
-    computation is out of scope (more variables)."""
-    used = set(_used_vars(a)) | set(_used_vars(b))
-    if len(used) <= 1:
-        return gcd_poly(a, b)
-    if len(used) == 2:
-        x, y = [v for v in a.vars if v in used]
-        return gcd_bivariate(a, b, x, y)
-    return None
+#: The key whose minimum is the largest of monomials of one degree in the
+#: graded reverse lexicographic order (grevlex), the last variable smallest.
+_GREVLEX_MIN = itemgetter(slice(None, None, -1))
 
 
-def _pair_eliminations(polys: list[MPoly], v: str) -> list[MPoly]:
-    """Sound nonzero eliminations of v: each returned polynomial vanishes on
-    the projection of the common zero set of the system.  The smallest
-    polynomial is used as pivot; zero resultants (shared factors) are broken
-    by mixing in further system members, and extra pair resultants are added
-    until the whole output set has constant gcd, so later levels do not
-    collapse on an inherited common factor."""
-    with_v = sorted(
-        (p for p in polys if p.degree_in(v) > 0),
-        key=lambda p: (p.degree_in(v), len(p.terms), p.total_degree()),
-    )
-    without_v = [p for p in polys if p.degree_in(v) == 0 and not p.is_zero()]
-    if len(with_v) < 2:
-        return without_v
-    out = list(without_v)
-    pivot = with_v[0]
-    others = with_v[1:] + without_v
-    for q in with_v[1:]:
-        r = resultant(pivot, q, v)
-        if r.is_zero():
-            for other in others:
-                if other is q:
-                    continue
-                mix = q + other
-                if mix.degree_in(v) > 0:
-                    r = resultant(pivot, mix, v)
-                    if not r.is_zero():
-                        break
-                mix = pivot + other
-                if mix.degree_in(v) > 0:
-                    r = resultant(mix, q, v)
-                    if not r.is_zero():
-                        break
-            else:
-                continue
-        out.append(r)
-
-    def set_gcd(ps: list[MPoly]) -> Optional[MPoly]:
-        acc = None
-        for p in ps:
-            if p.is_const():
-                return p
-            acc = p if acc is None else _gcd_generic(acc, p)
-            if acc is None or acc.is_const():
-                return acc
-        return acc
-
-    g = set_gcd(out) if out else None
-    if out and g is not None and not g.is_const():
-        extra_pairs = [
-            (a, b)
-            for i, a in enumerate(with_v)
-            for b in with_v[i + 1 :]
-            if a is not pivot
-        ]
-        extra_pairs.sort(key=lambda ab: ab[0].degree_in(v) + ab[1].degree_in(v))
-        for a, b in extra_pairs:
-            r = resultant(a, b, v)
-            if r.is_zero():
-                continue
-            out.append(r)
-            g = _gcd_generic(g, r)
-            if g is None or g.is_const():
-                break
-    out.sort(key=lambda p: (p.total_degree(), len(p.terms)))
-    kept = out[:PAIR_CAP]
-    if len(out) > PAIR_CAP:
-        g = set_gcd(kept)
-        for p in out[PAIR_CAP:]:
-            if g is None or g.is_const():
-                break
-            kept.append(p)
-            g = _gcd_generic(g, p)
-    return kept
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(map(le, a, b))
 
 
-def _eliminate_to_first(
-    system: list[MPoly], vars: Sequence[str], order: Optional[Sequence[str]] = None
-) -> MPoly:
-    """A nonzero univariate polynomial in vars[0] vanishing on the projection
-    of every common solution; gcds across independent eliminations strip the
-    extraneous factors that resultant chains introduce."""
-    polys = [p for p in system if not p.is_zero()]
-    if not polys:
-        raise ValueError("elimination of the zero system")
-    for v in order if order is not None else vars[1:][::-1]:
-        polys = _pair_eliminations(polys, v)
-        if not polys:
-            raise ValueError(f"elimination degenerated at {v}")
-    raw_const = next((p for p in polys if p.is_const()), None)
-    if raw_const is not None:
-        return raw_const
-    gcd_acc: Optional[MPoly] = None
-    for p in polys:
-        gcd_acc = p if gcd_acc is None else gcd_poly(gcd_acc, p)
-        if gcd_acc.is_const():
-            break
-    if gcd_acc is None or gcd_acc.is_zero():
-        raise ValueError("elimination produced no usable polynomial")
-    return gcd_acc
+def _primitive(f: dict) -> tuple:
+    """(leading monomial, f over its content with a positive leading
+    coefficient) of a nonzero form on int dicts."""
+    lm = min(f, key=_GREVLEX_MIN)
+    k = gcd(*f.values())
+    k = k if f[lm] > 0 else -k
+    return lm, {e: c // k for e, c in f.items()}
 
 
-def _strip_candidate_roots(e: MPoly, var: str, values: Sequence[FieldElement]) -> MPoly:
-    """Divide out (var - a) for each candidate value a as often as possible."""
-    out = e
-    x = MPoly.variable(e.field, e.vars, var)
-    for a in dict.fromkeys(values):
-        lin = x - a
-        while True:
-            try:
-                out = out.exact_div(lin)
-            except ValueError:
-                break
+def _combine(terms: dict, f: dict, c: int, shift: tuple) -> None:
+    """terms += c * x^shift * f, in place."""
+    for e, v in f.items():
+        t = tuple(map(add, e, shift))
+        w = terms.get(t, 0) + c * v
+        if w:
+            terms[t] = w
+        else:
+            del terms[t]
+
+
+def _spoly(p: tuple, q: tuple) -> dict:
+    """The S-polynomial of two basis entries (lm, f), scaled to integers."""
+    (lp, fp), (lq, fq) = p, q
+    lcm = tuple(map(max, lp, lq))
+    k = gcd(fp[lp], fq[lq])
+    out: dict = {}
+    _combine(out, fp, fq[lq] // k, tuple(map(sub, lcm, lp)))
+    _combine(out, fq, -(fp[lp] // k), tuple(map(sub, lcm, lq)))
     return out
 
 
-def certify_affine_solutions(
-    system: list[MPoly], vars: Sequence[str], candidates: list[tuple]
-) -> tuple[bool, Optional[str]]:
-    """Certify that the common zero set of the system (over the algebraic
-    closure) is contained in the candidate list.  Returns (ok, witness)."""
-    nonzero = [p for p in system if not p.is_zero()]
-    if not nonzero:
-        return False, "system is identically zero"
-    if any(p.is_const() for p in nonzero):
-        # a nonzero constant equation: no solutions at all
-        return True, None
-    if len(vars) == 1:
-        g = None
-        for p in nonzero:
-            g = p if g is None else gcd_poly(g, p)
-            if g.is_const():
-                break
-        if g.is_const():
-            if candidates:
-                return False, "claimed point in an empty fibre"
-            return True, None
-        rest = _strip_candidate_roots(g, vars[0], [c[0] for c in candidates])
-        if rest.total_degree() > 0:
-            return False, f"unaccounted factor in {vars[0]}: {rest}"
-        return True, None
-    # lazily sharpen the eliminant over several elimination orders: junk
-    # factors from one resultant cascade rarely survive a second order
-    e: Optional[MPoly] = None
-    rest: Optional[MPoly] = None
-    cand_vals = [c[0] for c in candidates]
-    for order in permutations(vars[1:]):
-        try:
-            e_new = _eliminate_to_first(nonzero, vars, order=order[::-1])
-        except ValueError:
+def _reduce(f: dict, basis: list) -> dict:
+    """c times the normal form of the form f modulo the basis entries
+    (lm, g), for some integer c != 0: each term divisible by some lm is
+    cancelled, the largest first."""
+    f, rest = dict(f), {}
+    while f:
+        m = min(f, key=_GREVLEX_MIN)
+        hit = next((entry for entry in basis if _divides(entry[0], m)), None)
+        if hit is None:
+            rest[m] = f.pop(m)
             continue
-        e = e_new if e is None else gcd_poly(e, e_new)
-        if e.is_const():
-            if candidates:
-                return False, "constant eliminant despite claimed points"
-            return True, None
-        rest = _strip_candidate_roots(e, vars[0], cand_vals)
-        if rest.total_degree() <= 0:
-            break
-    if e is None:
-        return False, "all elimination orders degenerated"
-    if rest is not None and rest.total_degree() > 0:
-        return False, f"unaccounted factor in {vars[0]}: {rest}"
-    fibres: dict = {}
-    for cand in candidates:
-        fibres.setdefault(cand[0].sort_key(), (cand[0], []))[1].append(cand[1:])
-    for _, (a, rest_cands) in sorted(fibres.items()):
-        restricted = [p.set_var(vars[0], a) for p in nonzero]
-        restricted = [p for p in restricted if not p.is_zero()]
-        if not restricted:
-            return False, f"fibre {vars[0]} = {a} is positive-dimensional"
-        ok, witness = certify_affine_solutions(restricted, vars[1:], rest_cands)
-        if not ok:
-            return False, f"fibre {vars[0]} = {a}: {witness}"
+        lm, g = hit
+        k = gcd(f[m], g[lm])
+        a, b = f[m] // k, g[lm] // k
+        if b != 1:
+            f = {e: c * b for e, c in f.items()}
+            rest = {e: c * b for e, c in rest.items()}
+        _combine(f, g, -a, tuple(map(sub, m, lm)))
+    return rest
+
+
+def _groebner(gens: list) -> list:
+    """A grevlex Groebner basis of the ideal of the int-dict forms gens, as
+    (leading monomial, primitive polynomial) entries: Buchberger's algorithm
+    with the S-pairs taken by ascending degree of their lcm, so for
+    homogeneous gens each degree is complete before the next starts, and the
+    Gebauer-Moeller update (Gebauer and Moeller, J. Symb. Comput. 6, 1988).
+
+    A new entry h first drops every queued pair {i, j} whose lcm L is
+    divisible by lm(h) with lcm(lm_i, lm(h)) != L != lcm(lm_j, lm(h)):
+    Buchberger's chain criterion, as {i, h} and {j, h} have lcms properly
+    dividing L.  Of the new pairs {i, h}, one whose lcm is divisible by the
+    lcm of a later or kept new pair is dropped by the same criterion unless
+    its leading monomials are coprime, which keeps one pair per lcm; then
+    the pairs with coprime leading monomials are dropped, as their
+    S-polynomials reduce to 0 (the product criterion)."""
+    basis: list = []
+    pairs: list = []  # (degree of the lcm, j, i, lcm), the smallest last
+
+    def add(f: dict) -> None:
+        h = _primitive(f)
+        lm_h, j = h[0], len(basis)
+        pairs[:] = [
+            p for p in pairs
+            if not _divides(lm_h, p[3])
+            or tuple(map(max, basis[p[1]][0], lm_h)) == p[3]
+            or tuple(map(max, basis[p[2]][0], lm_h)) == p[3]
+        ]
+        new = [(tuple(map(max, lm, lm_h)), i) for i, (lm, _) in enumerate(basis)]
+        kept = []
+        for idx, (lcm, i) in enumerate(new):
+            coprime = sum(lcm) == sum(lm_h) + sum(basis[i][0])
+            if coprime or not any(_divides(other, lcm) for other, _ in new[idx + 1 :] + kept):
+                kept.append((lcm, i if not coprime else None))
+        pairs.extend((sum(lcm), j, i, lcm) for lcm, i in kept if i is not None)
+        pairs.sort(reverse=True)
+        basis.append(h)
+
+    for f in sorted(gens, key=lambda f: max(map(sum, f))):
+        r = _reduce(f, basis)
+        if r:
+            add(r)
+    while pairs:
+        _, j, i, _ = pairs.pop()
+        r = _reduce(_spoly(basis[i], basis[j]), basis)
+        if r:
+            add(r)
+    return basis
+
+
+def _jacobian_basis(F: MPoly, ell: Sequence[int]) -> list:
+    """The grevlex basis (``_groebner``) of the Jacobian ideal of a form F
+    over QQ, in coordinates with l = sum ell_i x_i last: y_i = x_i for the
+    others, so x_last = (y_last - sum_{i < last} ell_i y_i) / ell_last.  The
+    chain rule maps the partials of F to those of F(y) by an invertible
+    matrix, so the ideal is the same."""
+    gens = MPoly.gens(F.field, F.vars)
+    rest = sum((g * c for c, g in zip(ell, gens[:-1])), MPoly.zero(F.field, F.vars))
+    G = F.subst({F.vars[-1]: (gens[-1] - rest) * Fraction(1, ell[-1])})
+    g = dict(zip(G.terms, _zclear(tuple(c.v for c in G.terms.values()))[1]))
+    partials = [
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in g.items() if e[i]}
+        for i in range(len(F.vars))
+    ]
+    return _groebner([p for p in partials if p])
+
+
+def certify_affine_solutions(F: MPoly, reports: Sequence[SingularityReport]) -> tuple[bool, Optional[str]]:
+    """(ok, witness): whether the points of the reports, with their types
+    A_k, are all the singular points of the hypersurface of the form F over
+    QQ, counted over the algebraic closure.  The certificate:
+
+    * J, the ideal of the partials of F, contains F (Euler's relation,
+      characteristic 0).  So on any chart J is the Tjurina ideal
+      (f, df/du_1, .., df/du_m) of the chart equation f, and the length of
+      the scheme V(J), when it is finite, is the sum of the Tjurina numbers
+      tau_p of the singular points p.
+    * At an A_k point tau = mu = k, since A_k is quasi-homogeneous (K. Saito,
+      Invent. Math. 14, 1971); each other singular point adds tau >= 1.
+    * So if the points are pairwise distinct, the partials vanish at each,
+      and their k sum to the length of V(J), there is no other singular
+      point.  Distinctness is required: a table that drops one A_1 and
+      lists another twice has the same sum.
+    * The length is read off a grevlex basis of J (``_jacobian_basis``)
+      with the last variable l, the first form of LINEAR_FORMS that is
+      nonzero at every point; no such form is a failure.  In grevlex with l
+      last, in(J + (l)) = in(J) + (l) and in(J : l^inf) = in(J) : l^inf
+      (Bayer and Stillman, Invent. Math. 87, 1987).  So no point of V(J)
+      lies on l = 0, and V(J) is finite, if and only if each other variable
+      has a pure power among the leading monomials; otherwise V(J) has a
+      point on l = 0, which no candidate is, and the check fails.  Then the
+      length of V(J), all of which lies on the chart l = 1, is the number
+      of standard monomials of in(J) : l^inf in the other variables
+      (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 4)."""
+    points = [r.point for r in reports]
+    if len(set(points)) < len(points):
+        return False, "a candidate is listed twice"
+    partials = [F.derivative(v) for v in F.vars]
+    for P in points:
+        if any(not d.evaluate(P.coords).is_zero() for d in partials):
+            return False, f"partials do not vanish at {P}"
+    n = len(F.vars)
+
+    def off_the_points(form: tuple) -> bool:
+        return all(not sum((c * x for c, x in zip(form, P.coords)), F.field.zero).is_zero() for P in points)
+
+    ell = next((form[:n] for form in LINEAR_FORMS if len(form) >= n and off_the_points(form[:n])), None)
+    if ell is None:
+        return False, "no form of LINEAR_FORMS is nonzero at every candidate"
+    lms = [lm for lm, _ in _jacobian_basis(F, ell)]
+    bound = [min((lm[i] for lm in lms if lm[i] == sum(lm)), default=None) for i in range(n - 1)]
+    if None in bound:
+        return False, f"the singular locus meets the plane {ell} . x = 0, or is infinite"
+    saturated = {lm[:-1] for lm in lms}
+    length = sum(not any(_divides(s, e) for s in saturated) for e in product(*map(range, bound)))
+    total = sum(r.k for r in reports)
+    if length != total:
+        return False, f"the Jacobian scheme has length {length}, the candidates' k sum to {total}"
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# singular locus verification
-# ---------------------------------------------------------------------------
 
 
 def verify_singular_locus(F: MPoly, candidates: Sequence[ProjPoint]) -> LocusReport:
     """Confirm that the candidates are exactly the singular points of the
-    projective hypersurface F = 0 (over the algebraic closure; over QQ(s),
-    for generic s)."""
+    projective hypersurface F = 0, over the algebraic closure.
+
+    Over QQ each candidate is classified once, by ``milnor_ade_classify`` on
+    the chart of its first nonzero coordinate, and the reports go to
+    ``certify_affine_solutions``; ``verified`` holds them, in the order of
+    the candidates, whether or not the locus is complete.
+
+    Over QQ(s) with no candidates this certifies smoothness for generic s:
+    F is specialized at the first s0 of SMOOTHNESS_S_VALUES where
+    ``polyops.specialize`` meets no pole, the form keeps its degree and the
+    certificate passes.  Sound because the discriminant of forms of F's
+    degree, taken at F, is then a rational function of s that is regular
+    and nonzero at s0, so it is nonzero.  A singular specialization is
+    inconclusive and the next s0 is tried; running out of s0 fails.  Any
+    other field, or candidates over QQ(s), fail."""
     if not F.is_homogeneous():
         raise ValueError("verify_singular_locus requires a homogeneous input")
-    vars = F.vars
-    partials = [F.derivative(v) for v in vars]
-    # F itself vanishes on the singular locus (Euler relation, char 0); it is
-    # redundant but gives the elimination more material to pair with.
-    system_polys = partials + [F]
+    if F.field == QS and not candidates:
+        for s0 in SMOOTHNESS_S_VALUES:
+            try:
+                F0 = specialize(F, s0)
+            except ValueError:
+                continue
+            if F0.total_degree() == F.total_degree() and certify_affine_solutions(F0, [])[0]:
+                return LocusReport("complete")
+        return LocusReport("fail", witness=f"singular or degenerate at each s in {SMOOTHNESS_S_VALUES}")
+    if F.field != QQ:
+        return LocusReport("fail", witness=f"no certificate for candidates over {F.field.level_name()}")
+    reports = []
     for P in candidates:
-        vals = list(P.coords)
-        for dF in partials:
-            if not dF.evaluate(vals).is_zero():
-                return LocusReport("fail", witness=f"partials do not vanish at {P}")
-    for chart_i, chart_var in enumerate(vars):
-        chart_vars = vars[:chart_i] + vars[chart_i + 1 :]
-        system = [p.dehomogenize(chart_var) for p in system_polys]
-        chart_cands = []
-        for P in candidates:
-            c = P.coords[chart_i]
-            if not c.is_zero():
-                inv = c.inv()
-                chart_cands.append(
-                    tuple(P.coords[j] * inv for j in range(len(vars)) if j != chart_i)
-                )
-        ok, witness = certify_affine_solutions(system, chart_vars, chart_cands)
-        if not ok:
-            return LocusReport("fail", witness=f"chart {chart_var} = 1: {witness}")
-    return LocusReport("complete", verified=list(candidates))
+        try:
+            reports.append(SingularityReport(P, milnor_ade_classify(*P.affine(F)).k))
+        except ValueError as exc:
+            return LocusReport("fail", reports, f"{P}: {exc}")
+    ok, witness = certify_affine_solutions(F, reports)
+    return LocusReport("complete" if ok else "fail", reports, witness)
 
 
 # ---------------------------------------------------------------------------

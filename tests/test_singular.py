@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from k3pencil import QQ, QS, MPoly, parse_poly
+from cascade_oracle import cascade_locus
+from k3pencil import QQ, QS, MPoly, parse_poly, singular
 from k3pencil.pencil import (
     GENERIC_BRANCH_POINTS,
     QUARTIC_SINGULAR_TABLE,
     branch_cubic,
+    branch_cubic_at,
     branch_sextic,
     branch_sextic_at,
     fiber_singular_table,
@@ -14,7 +16,12 @@ from k3pencil.pencil import (
 )
 from k3pencil.singular import (
     ProjPoint,
+    SingularityReport,
+    _jacobian_basis,
+    _reduce,
+    _spoly,
     branch_ade_type,
+    certify_affine_solutions,
     double_cover_type,
     intersection_multiplicity,
     milnor_ade_classify,
@@ -220,8 +227,135 @@ def test_special_fiber_tables_complete():
         pts = [ProjPoint(QQ, c) for c, _ in fiber_singular_table(s0)]
         rep = verify_singular_locus(sex, pts)
         assert rep.ok, (s0, rep.witness)
+        table_k = [k for _, k in fiber_singular_table(s0)]
+        assert [(r.point, r.k) for r in rep.verified] == list(zip(pts, table_k))
         for coords, k in fiber_singular_table(s0):
             assert double_cover_type(sex, ProjPoint(QQ, coords)).k == k
+
+
+def _table_points(table):
+    return [ProjPoint(QQ, c) for c, _ in table]
+
+
+#: The five loci the CLI certifies, then the two negative tables: the quartic
+#: without its last point, and with the non-singular point (1 : 2 : 3 : 1).
+LOCI = {
+    "quartic": (radical_quartic, _table_points(QUARTIC_SINGULAR_TABLE)),
+    "fibre s=1": (lambda: branch_sextic_at(1), _table_points(fiber_singular_table(1))),
+    "fibre s=-1": (lambda: branch_sextic_at(-1), _table_points(fiber_singular_table(-1))),
+    "G0 over QQ(s)": (lambda: branch_cubic(0), []),
+    "G1 over QQ(s)": (lambda: branch_cubic(1), []),
+    "quartic, missing point": (radical_quartic, _table_points(QUARTIC_SINGULAR_TABLE[:-1])),
+    "quartic, extra point": (
+        radical_quartic,
+        _table_points(QUARTIC_SINGULAR_TABLE) + [ProjPoint(QQ, (1, 2, 3, 1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOCI)
+def test_certificate_agrees_with_the_cascade(name):
+    form, pts = LOCI[name]
+    F = form()
+    rep = verify_singular_locus(F, pts)
+    ok, witness = cascade_locus(F, pts)
+    assert rep.ok == ok == ("point" not in name), (rep.witness, witness)
+
+
+#: The Groebner bases the certificate builds on the five loci, with their l;
+#: the branch cubics at s0 = 3, the first value of SMOOTHNESS_S_VALUES.
+BASES = {
+    "quartic": (radical_quartic, (1, 2, 3, 5)),
+    "fibre s=1": (lambda: branch_sextic_at(1), (1, 2, 3)),
+    "fibre s=-1": (lambda: branch_sextic_at(-1), (1, 2, 3)),
+    "G0 at s=3": (lambda: branch_cubic_at(0, 3), (1, 2, 3)),
+    "G1 at s=3": (lambda: branch_cubic_at(1, 3), (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_every_s_pair_reduces_to_zero(name):
+    form, ell = BASES[name]
+    basis = _jacobian_basis(form(), ell)
+    assert all(
+        not _reduce(_spoly(p, q), basis) for i, p in enumerate(basis) for q in basis[i + 1 :]
+    )
+
+
+def test_lengths_equal_the_tables_sums():
+    for form, table in (
+        (radical_quartic(), QUARTIC_SINGULAR_TABLE),
+        (branch_sextic_at(1), fiber_singular_table(1)),
+        (branch_sextic_at(-1), fiber_singular_table(-1)),
+    ):
+        reports = [SingularityReport(ProjPoint(QQ, c), k) for c, k in table]
+        assert certify_affine_solutions(form, reports) == (True, None)
+        # one unit more or less in the sum is a failure
+        for shift in (-1, 1):
+            bent = reports[:-1] + [SingularityReport(reports[-1].point, reports[-1].k + shift)]
+            ok, witness = certify_affine_solutions(form, bent)
+            assert not ok and "length" in witness
+
+
+def test_a_point_listed_twice_does_not_stand_for_a_dropped_one():
+    # (1 : -1 : 0 : 0) is dropped and the A_1 point (0 : 0 : 1 : 0) listed
+    # twice: the sum of k is still 14
+    table = QUARTIC_SINGULAR_TABLE[:-1] + (((0, 0, 1, 0), 1),)
+    rep = verify_singular_locus(radical_quartic(), _table_points(table))
+    assert not rep.ok and "twice" in rep.witness
+
+
+def test_a_classifier_one_short_fails(monkeypatch):
+    classify = singular.milnor_ade_classify
+
+    def one_short(f, point, *args):
+        rep = classify(f, point, *args)
+        return SingularityReport(rep.point, rep.k - (rep.k == 3))
+
+    monkeypatch.setattr(singular, "milnor_ade_classify", one_short)
+    rep = verify_singular_locus(radical_quartic(), _table_points(QUARTIC_SINGULAR_TABLE))
+    assert not rep.ok and "length 14" in rep.witness
+    assert sorted(r.k for r in rep.verified) == [1, 1, 1, 2, 2, 2, 2, 2]
+
+
+def test_a_non_isolated_singular_locus_fails():
+    F = parse_poly("x^2 * (y^2 + z^2 - 2*x^2)", QQ, ("x", "y", "z"))
+    for pts in ([], [ProjPoint(QQ, (0, 0, 1))], [ProjPoint(QQ, (0, 1, 0)), ProjPoint(QQ, (0, 1, 1))]):
+        rep = verify_singular_locus(F, pts)
+        assert not rep.ok and rep.witness
+
+
+def test_no_linear_form_off_the_candidates_fails(monkeypatch):
+    # (1, 1, 1, 1) vanishes at (0 : 1 : -1 : 0)
+    monkeypatch.setattr(singular, "LINEAR_FORMS", ((1, 1, 1, 1),))
+    rep = verify_singular_locus(radical_quartic(), _table_points(QUARTIC_SINGULAR_TABLE))
+    assert not rep.ok and "LINEAR_FORMS" in rep.witness
+
+
+def test_a_missing_point_on_the_plane_l_fails(monkeypatch):
+    # l = x + y + 2z + 3v vanishes at the dropped A_1 point (1 : -1 : 0 : 0)
+    # and at no other point of the table, so l is used; the point is found
+    # by the pure-power test, as the saturation no longer sees it
+    monkeypatch.setattr(singular, "LINEAR_FORMS", ((1, 1, 2, 3),))
+    rep = verify_singular_locus(radical_quartic(), _table_points(QUARTIC_SINGULAR_TABLE[:-1]))
+    assert not rep.ok and "meets the plane (1, 1, 2, 3)" in rep.witness
+
+
+def test_a_family_singular_for_every_s_fails():
+    F = parse_poly("x*y*z + s*(x^3 + y^3)", QS, ("x", "y", "z"))
+    rep = verify_singular_locus(F, [])
+    assert not rep.ok and "each s" in rep.witness
+    rep = verify_singular_locus(F, [ProjPoint(QS, (0, 0, 1))])
+    assert not rep.ok and "Q(s)" in rep.witness
+
+
+def test_a_singular_specialization_is_inconclusive(monkeypatch):
+    # G1 is singular at s = 2, smooth at s = 3
+    assert not certify_affine_solutions(branch_cubic_at(1, 2), [])[0]
+    monkeypatch.setattr(singular, "SMOOTHNESS_S_VALUES", (2, 3))
+    assert verify_singular_locus(branch_cubic(1), []).ok
+    monkeypatch.setattr(singular, "SMOOTHNESS_S_VALUES", (2,))
+    assert not verify_singular_locus(branch_cubic(1), []).ok
 
 
 def test_curve_intersections_certificate():

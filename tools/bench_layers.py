@@ -35,7 +35,7 @@ every microbenchmark as its value in each run and their median:
   of degree 5 and 4 with rational coefficients and a common quadratic
   factor, per ``resultant`` in x over QQ of two polynomials in x, y of
   x-degree 5 and 4 with coefficients of degree at most 5 in y (the Z[y]
-  path, at the size of the singular-locus eliminations), and per
+  path, at the size the singular-locus eliminations had), and per
   ``resultant`` in x over QQ(s) of two polynomials in x, y of x-degree 2
   and 3 (best of five timeit repeats);
 * ``series_us``: microseconds per ``substitute`` of the Cayley bindings
@@ -62,10 +62,12 @@ every microbenchmark as its value in each run and their median:
   functions only, so any two versions compare;
 * ``geometry_us``: microseconds per ``milnor_ade_classify`` at the radical
   quartic's A3 point (0:0:0:1) and at its A2 point (0:1:1:0), each on the
-  chart ``ProjPoint.affine`` gives, and per ``double_cover_type`` of the
-  generic branch sextic over QQ(s) at its A5 point (1:0:0) (best of five
-  timeit repeats), built only through public functions, so any two versions
-  compare.
+  chart ``ProjPoint.affine`` gives, per ``double_cover_type`` of the
+  generic branch sextic over QQ(s) at its A5 point (1:0:0), and per
+  ``verify_singular_locus`` of the radical quartic with its table of eight
+  points and of the branch sextic at s = -1 with its table of five (best of
+  five timeit repeats), built only through public functions, so any two
+  versions compare.
 
 Each timeit repeat makes the same number of calls, the first of 1, 2, 5,
 10, 20, ... whose calls last at least REPEAT_S seconds.
@@ -99,7 +101,10 @@ POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
 PICARD_FIBERS = (("generic", "generic"), ("s1", 1), ("s-1", -1))
 PICARD_OPS = tuple(f"{op} {name}" for name, _ in PICARD_FIBERS for op in ("enumerate_and_filter", "filter"))
-GEOMETRY_OPS = ("milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)")
+GEOMETRY_OPS = (
+    "milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)",
+    "verify_singular_locus quartic", "verify_singular_locus s=-1",
+)
 SERIES_OPS = (
     "substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated",
     "apery 0..200", "domb 0..200",
@@ -262,18 +267,26 @@ def picard_micro() -> dict:
 
 
 def geometry_micro() -> dict:
-    """Per classifier call, microseconds per call of the k3pencil on sys.path."""
+    """Per classifier call and singular-locus certificate, microseconds per
+    call of the k3pencil on sys.path."""
     from k3pencil import QQ, QS
-    from k3pencil.pencil import GENERIC_BRANCH_POINTS, QUARTIC_SINGULAR_TABLE, branch_sextic, radical_quartic
-    from k3pencil.singular import ProjPoint, double_cover_type, milnor_ade_classify
+    from k3pencil.pencil import (
+        GENERIC_BRANCH_POINTS, QUARTIC_SINGULAR_TABLE, branch_sextic, branch_sextic_at,
+        fiber_singular_table, radical_quartic,
+    )
+    from k3pencil.singular import ProjPoint, double_cover_type, milnor_ade_classify, verify_singular_locus
 
     quartic = radical_quartic()
     a3, a2 = (ProjPoint(QQ, QUARTIC_SINGULAR_TABLE[i][0]).affine(quartic) for i in (0, 1))
     sextic, a5 = branch_sextic(), ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])
+    quartic_points = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
+    fiber, fiber_points = branch_sextic_at(-1), [ProjPoint(QQ, c) for c, _ in fiber_singular_table(-1)]
     calls = {
         "milnor_ade_classify A3": lambda: milnor_ade_classify(*a3),
         "milnor_ade_classify A2": lambda: milnor_ade_classify(*a2),
         "double_cover_type A5 QQ(s)": lambda: double_cover_type(sextic, a5),
+        "verify_singular_locus quartic": lambda: verify_singular_locus(quartic, quartic_points),
+        "verify_singular_locus s=-1": lambda: verify_singular_locus(fiber, fiber_points),
     }
     return {op: _us_per_call(calls[op]) for op in GEOMETRY_OPS}
 
