@@ -120,6 +120,10 @@ class Run:
     def generic_lines(self):
         return fiber_lines("generic")
 
+    @cached_property
+    def generic_line_matrix(self):
+        return line_matrix(self.generic_lines, self.generic_config)
+
 
 def _quartic_singular_locus(run):
     pts = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
@@ -192,7 +196,7 @@ def _component_lifts_generic(run):
 
 
 def _line_matrix_generic(run):
-    m = line_matrix(run.generic_lines, run.generic_config)
+    m = run.generic_line_matrix
     match = tuple(tuple(r) for r in m) == REFERENCE_LINE_MATRIX
     return match, {"matrix": m, "matches_reference": match}
 
@@ -426,14 +430,20 @@ def series_data(op: str, corrected: bool, run: Run) -> dict:
     )
 
 
-def lines_data(s_value: str) -> dict:
-    config = BranchConfig.generic() if s_value == "generic" else BranchConfig.at(Fraction(s_value))
-    lines = fiber_lines("generic" if s_value == "generic" else Fraction(s_value))
+def lines_data(s_value: str, run: Optional[Run] = None) -> dict:
+    """The lines of a fibre and their matrix; the generic fibre's from the
+    run's cache, filled by its checks when they ran."""
+    if s_value == "generic":
+        run = run or Run(50)
+        lines, matrix = run.generic_lines, run.generic_line_matrix
+    else:
+        lines = fiber_lines(Fraction(s_value))
+        matrix = line_matrix(lines, BranchConfig.at(Fraction(s_value)))
     return {
         "lines": [
             {"label": ll.label, "line": str(ll.line), "w": str(ll.w_formula)} for ll in lines
         ],
-        "matrix": line_matrix(lines, config),
+        "matrix": matrix,
     }
 
 
@@ -538,7 +548,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "singularities":
         extra = {"rows": [row for c in checks for row in c["details"].get("rows", [])]}
     elif args.command == "lines":
-        extra = lines_data(args.s_value)
+        extra = lines_data(args.s_value, run)
     elif args.command == "lattice":
         extra = {"spec": args.spec, **_jsonable(lattice.describe())}
     elif args.command == "picard" and args.fiber != "all" and checks:

@@ -29,6 +29,7 @@ form is rebuilt for display only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
 
@@ -209,9 +210,7 @@ def _zprim(a: tuple) -> tuple[int, tuple]:
 def _zquo(a: tuple, b: tuple) -> tuple:
     """a/b in Z[t] for b != 0; ValueError unless b divides a there.  Every
     caller divides exactly: in RatFunc b is a primitive gcd dividing a in
-    QQ[t], so the quotient is in Z[t] by Gauss's lemma; in
-    polyops._subresultant b is g*h^delta or a power of h, not primitive,
-    and divides by the subresultant theorem."""
+    QQ[t], so the quotient is in Z[t] by Gauss's lemma."""
     if b == _ONE:
         return a
     r = list(a)
@@ -754,6 +753,8 @@ QS = Field("s")
 QSA = Field("m")
 
 
+@cache
 def quadratic_field(d) -> Field:
-    """QQ(sqrt(d)) for a rational non-square d."""
+    """QQ(sqrt(d)) for a rational non-square d: one Field per value of d, so
+    equal fields are one object and compare by identity."""
     return Field(d=d)

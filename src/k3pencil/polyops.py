@@ -8,15 +8,17 @@ The ring each routine runs on:
   in Z[x] (QPoly.gcd); over QQ(s) and QQ(m) a coprimality certificate over
   QQ, else Euclid on FieldElement lists, as over QQ(sqrt(d)); quotients
   on FieldElement lists.
-* resultant: the subresultant PRS (_subresultant), exact by the
-  subresultant theorem, on Z[y] tuples of field.py over QQ in at most one
-  further variable y, otherwise, QQ(s) included, on MPoly; its test oracle
-  is the Sylvester determinant.
+* resultant: the subresultant PRS (_subresultant) on MPoly coefficients,
+  exact by the subresultant theorem; its test oracle is the Sylvester
+  determinant.
 * gcd_bivariate: a primitive PRS in y on MPoly coefficients, with the
   pseudo-remainder _prem of the resultant.
 * substitute: one MPoly.subst call, each denominator the image of a
   fresh variable.
 * specialize: MPoly and FieldElement arithmetic.
+
+No module of the package calls resultant or gcd_bivariate; the benchmark's
+tracer names them, and the tests' oracles use them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .field import QQ, Field, FieldElement, QPoly, _fraction_sqrt, quadratic_field
-from .field import _ONE, _zclear, _zlin, _zmul, _zquo
+from .field import QQ, Field, FieldElement, QPoly, _fraction_sqrt, _zclear, quadratic_field
 from .mpoly import MPoly
 
 # ---------------------------------------------------------------------------
@@ -187,54 +188,17 @@ def squarefree_unit(p: MPoly) -> FieldElement:
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Resultant with respect to var, by the subresultant PRS (_subresultant)
-    over the ring of the remaining variables.  Over QQ with at most one
-    further variable y that ring is Z[y] on the int tuples of field.py
-    (_resultant_dense), which is much faster; every other case, QQ(s)
-    included, runs on MPoly coefficients."""
+    on MPoly coefficients in the remaining variables."""
     p, q = MPoly.common(p, q)
-    m, n = p.degree_in(var), q.degree_in(var)
-    if m <= 0 or n <= 0:
+    if p.degree_in(var) <= 0 or q.degree_in(var) <= 0:
         raise ValueError("resultant requires positive degree in the variable")
-    other = [v for v in p.vars if v != var and max(p.degree_in(v), q.degree_in(v)) > 0]
-    if p.field == QQ and len(other) <= 1:
-        return _resultant_dense(p, q, var, other[0] if other else None)
     return _subresultant(_dense_in(p, var), _dense_in(q, var), _mpoly_ring(p.field, p.vars))
 
 
-def _resultant_dense(p: MPoly, q: MPoly, var: str, other: Optional[str]) -> MPoly:
-    """Resultant over QQ with at most one further variable y, coefficients
-    in Z[y]: each polynomial is cleared by the lcm L of its denominators.
-    The resultant is homogeneous of degree n in the coefficients of p and m
-    in those of q, so the integer resultant is divided by Lp^n * Lq^m."""
-    iv = p.vars.index(var)
-    io = p.vars.index(other) if other else None
-
-    def entries(poly: MPoly) -> tuple[list[tuple], int]:
-        k, ints = _zclear(tuple(c.v for c in poly.terms.values()))
-        out: list[list] = [[] for _ in range(poly.degree_in(var) + 1)]
-        for e, c in zip(poly.terms, ints):
-            ent = out[e[iv]]
-            d = e[io] if io is not None else 0
-            ent.extend([0] * (d + 1 - len(ent)))
-            ent[d] = c
-        return [tuple(ent) for ent in out], k.denominator
-
-    (p_int, p_scale), (q_int, q_scale) = entries(p), entries(q)
-    m, n = len(p_int) - 1, len(q_int) - 1
-    scale = p_scale ** n * q_scale ** m
-    res = [Fraction(c, scale) for c in _subresultant(p_int, q_int, _ZY_RING)]
-    return MPoly.from_dense(QQ, p.vars, other or var, res)
-
-
-# A coefficient ring R of _prem and _subresultant: (zero, one, mul, sub, quo),
-# quo an exact division that raises when the quotient is not in R.  Z[y] on
-# the int tuples of field.py, and MPoly over one field and variable list.
-_ZY_RING = (
-    (), _ONE, lambda a, b: _zmul(a, b) if a and b else (), lambda a, b: _zlin(1, a, -1, b), _zquo
-)
-
-
 def _mpoly_ring(field: Field, vars) -> tuple:
+    """The coefficient ring R of _prem and _subresultant, (zero, one, mul,
+    sub, quo) with quo an exact division that raises when the quotient is
+    not in R: MPoly over one field and variable list."""
     return (MPoly.zero(field, vars), MPoly.const(field, vars, 1), MPoly.__mul__, MPoly.__sub__, MPoly.exact_div)
 
 

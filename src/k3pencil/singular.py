@@ -7,6 +7,12 @@ types A_k must add up to the length of the scheme cut out by the partials,
 read off a grevlex Groebner basis of the Jacobian ideal
 (``certify_affine_solutions``).  Over QQ(s), smoothness for generic s is
 the same certificate with no candidates at one rational s0.
+
+An intersection multiplicity I_P(F, G) is the order of one curve on the
+other where that other is smooth at P: on a line by restriction, else on
+the branch that the classifier's ``_lift_section`` lifts and
+``_eval_on_section`` certifies.  A claimed intersection is certified
+complete by a Bezout count (``verify_curve_intersections``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Sequence
 
 from .field import QQ, QS, Field, FieldElement, _zclear
 from .mpoly import MPoly
-from .polyops import gcd_bivariate, resultant, specialize
+from .polyops import specialize
 
 #: The jet bound of the A_k classifier.
 DEFAULT_JET_ORDER = 10
@@ -561,29 +567,60 @@ def double_cover_type(sextic: MPoly, P: ProjPoint) -> SingularityReport:
 
 def intersection_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     """I_P(F, G) for plane curves without a common component through P: by
-    restriction when either curve is a line (``_line_contact``), else by the
-    axiomatic reduction algorithm on a chart at P."""
+    restriction when either curve is a line (``_line_contact``), else as the
+    order of the other curve on the branch of one that is smooth at P
+    (``_branch_contact``)."""
     F, G = MPoly.common(F, G)
     if G.total_degree() == 1:
         return _line_contact(F, G, P)
     if F.total_degree() == 1:
         return _line_contact(G, F, P)
-    return _fulton_multiplicity(F, G, P)
+    return _branch_contact(F, G, P)
 
 
-def _fulton_multiplicity(F: MPoly, G: MPoly, P: ProjPoint) -> int:
-    """I_P(F, G) over one field by the axiomatic reduction algorithm
-    (Fulton, section 3.3) on a chart at P, after a bivariate gcd rules out a
-    common component through P."""
+def _branch_contact(F: MPoly, G: MPoly, P: ProjPoint) -> int:
+    """I_P(F, G) = ord_P^F(G) for F smooth at P (Fulton, Algebraic Curves,
+    section 3.3), F and G swapped when only G is; both singular at P
+    raises.
+
+    On the chart at P, translated to the origin, a linear change of
+    coordinates makes F's linear part b*u, b != 0, with w the other
+    coordinate.  As df/du != 0 at P, w is a uniformizer of the discrete
+    valuation ring of F at P, whose completion is K[[w]] with u the branch
+    phi(w) of f(u, w) = 0, so ord_P^F(G) is the order in w of g(phi(w), w).
+    ``_lift_section([f], [b/2], ..)`` lifts phi modulo w^(N+1); a solution of
+    valuation >= 1 there is unique (the argument of its docstring), and
+    ``_eval_on_section`` certifies it: f(phi, w) must vanish to order N, or
+    the contact raises, so a wrong section cannot pass.  The same pass gives
+    g(phi, w) to order N, whose first nonzero index is I_P.  N starts at 2
+    and doubles up to deg F * deg G + 1; a series still zero there exceeds
+    the Bezout bound deg F * deg G of curves without a common component."""
     f, coords = P.affine(F)
     f, g = f.translate(coords), P.affine(G)[0].translate(coords)
     if not f.const_coeff().is_zero() or not g.const_coeff().is_zero():
         return 0
-    x, y = f.vars
-    d = gcd_bivariate(f, g, x, y)
-    if d.total_degree() > 0 and d.const_coeff().is_zero():
-        raise ValueError("infinite intersection multiplicity: common component")
-    return _imult_origin(f, g)
+    if f.homog_component(1).is_zero():
+        f, g = g, f
+    field = f.field
+    a, c = (f.terms.get(e, field.zero) for e in ((1, 0), (0, 1)))
+    if a.is_zero() and c.is_zero():
+        raise ValueError(f"both curves are singular at {P}")
+    X, Y = MPoly.gens(field, f.vars)
+    # u the first coordinate, w the second: a*x + c*y = b*u
+    images, b = ([X - Y * (c / a), Y], a) if not a.is_zero() else ([Y, X], c)
+    f, g = f.subst_polys(images), g.subst_polys(images)
+    cap, N = F.total_degree() * G.total_degree(), 2
+    while True:
+        phi = _lift_section([f], [b * Fraction(1, 2)], N, field)
+        fs, gs = _eval_on_section([f, g], phi, N, field)
+        if any(not t.is_zero() for t in fs):
+            raise ValueError(f"branch at {P} fails its certificate")
+        m = next((k for k, t in enumerate(gs) if not t.is_zero()), None)
+        if m is not None:
+            return m
+        if N > cap:
+            raise ValueError("infinite intersection multiplicity: common component")
+        N = min(2 * N, cap + 1)
 
 
 def _solve_line(line: MPoly) -> tuple[str, MPoly]:
@@ -629,46 +666,6 @@ def _line_contact(F: MPoly, L: MPoly, P: ProjPoint) -> int:
     return multiplicity_at(R.drop_vars([gone]), Q)
 
 
-def _imult_origin(f: MPoly, g: MPoly) -> int:
-    x, y = f.vars
-    field = f.field
-    total = 0
-    while True:
-        if f.is_zero() or g.is_zero():
-            raise ValueError("infinite intersection multiplicity")
-        a = f.set_var(y, field.zero)
-        b = g.set_var(y, field.zero)
-        if a.is_zero() and b.is_zero():
-            raise ValueError("infinite intersection multiplicity: common factor y")
-        if a.is_zero():
-            f1 = f.exact_div(MPoly.variable(field, f.vars, y))
-            total += b.min_total_degree()
-            f = f1
-            if not f.const_coeff().is_zero():
-                return total
-            continue
-        if b.is_zero():
-            g1 = g.exact_div(MPoly.variable(field, f.vars, y))
-            total += a.min_total_degree()
-            g = g1
-            if not g.const_coeff().is_zero():
-                return total
-            continue
-        da, db = a.degree_in(x), b.degree_in(x)
-        if da > db:
-            f, g = g, f
-            a, b, da, db = b, a, db, da
-        lc_a = a.coeffs_in(x)[da].const_coeff()
-        lc_b = b.coeffs_in(x)[db].const_coeff()
-        factor = lc_b * lc_a.inv()
-        xpow = MPoly.variable(field, f.vars, x) ** (db - da)
-        g = g - f * xpow * factor
-        if g.is_zero():
-            raise ValueError("infinite intersection multiplicity: proportional")
-        if not g.const_coeff().is_zero():
-            return total
-
-
 def multiplicity_at(F: MPoly, P: ProjPoint) -> int:
     """Multiplicity of the plane curve F at P (order of vanishing of the
     translated chart equation)."""
@@ -683,32 +680,25 @@ def multiplicity_at(F: MPoly, P: ProjPoint) -> int:
 
 def verify_curve_intersections(F: MPoly, G: MPoly, claimed: Sequence[tuple[ProjPoint, int]]) -> LocusReport:
     """Certify that the claimed points with multiplicities are exactly the
-    intersection of the plane curves F and G: each multiplicity is recomputed,
-    the total matches Bezout, and the eliminant in z factors exactly into the
-    claimed images -- so no further intersection points exist."""
+    intersection of the projective plane curves F and G over the algebraic
+    closure: the points are pairwise distinct, each claimed m is I_P(F, G),
+    and the m sum to deg F * deg G.
+
+    Without a common component, Bezout's theorem makes the sum of I_P over
+    all points deg F * deg G, so the claimed points are all of them.  With
+    a common component C of degree c >= 1, a claimed point on C has
+    infinite I_P and raises, and a point off C has I_P(F, G) = I_P(F/C, G/C);
+    these sum to at most (deg F - c)(deg G - c) < deg F * deg G, so the
+    total cannot be reached.  Distinctness is required: one point of
+    multiplicity 3 listed twice in place of another would reach it."""
+    if not (F.is_homogeneous() and G.is_homogeneous()):
+        raise ValueError("verify_curve_intersections requires homogeneous inputs")
+    points = [P for P, _ in claimed]
+    if len(set(points)) < len(points):
+        return LocusReport("fail", witness="a point is listed twice")
     for P, m in claimed:
         if intersection_multiplicity(F, G, P) != m:
             return LocusReport("fail", witness=f"multiplicity mismatch at {P}")
-    degF, degG = F.total_degree(), G.total_degree()
-    if sum(m for _, m in claimed) != degF * degG:
+    if sum(m for _, m in claimed) != F.total_degree() * G.total_degree():
         return LocusReport("fail", witness="multiplicities do not add up to the Bezout number")
-    lcF = F.coeffs_in("z").get(F.degree_in("z"))
-    lcG = G.coeffs_in("z").get(G.degree_in("z"))
-    if not (lcF is not None and lcF.is_const() and lcG is not None and lcG.is_const()):
-        return LocusReport("fail", witness="leading coefficient in z is not constant")
-    rest = resultant(F, G, "z")
-    xv, yv = [v for v in F.vars if v != "z"]
-    x = MPoly.variable(F.field, F.vars, xv)
-    y = MPoly.variable(F.field, F.vars, yv)
-    iv_x, iv_y = F.vars.index(xv), F.vars.index(yv)
-    for P, m in claimed:
-        a, b = P.coords[iv_x], P.coords[iv_y]
-        lin = x * b - y * a
-        for _ in range(m):
-            try:
-                rest = rest.exact_div(lin)
-            except ValueError:
-                return LocusReport("fail", witness=f"eliminant not divisible by image of {P}")
-    if rest.total_degree() > 0:
-        return LocusReport("fail", witness=f"eliminant has extra factor {rest}")
-    return LocusReport("complete", verified=[P for P, _ in claimed])
+    return LocusReport("complete", verified=points)

@@ -1,10 +1,10 @@
 """Differential property tests: each fast path of the elimination cascade
 against the exact path it replaces or the known answer.
 
-* resultants by the subresultant PRS, on Z[y] tuples (over QQ in x and
-  y) and on MPoly (over QQ(s), and over QQ in x, y, z), vs the test-local
-  Sylvester determinant by Bareiss elimination, and resultants over QQ(s)
-  vs the QQ resultants of their specializations;
+* resultants by the subresultant PRS on MPoly (over QQ in x, y and in
+  x, y, z, and over QQ(s)) vs the test-local Sylvester determinant by
+  Bareiss elimination, and resultants over QQ(s) vs the QQ resultants of
+  their specializations;
 * gcds over QQ (the primitive PRS in Z[x]) vs the test-local Euclid on
   Fraction coefficients, and exact division in Z[t] (_zquo);
 * the QQ(s) and QQ(m) coprimality certificate in gcd_poly vs the Euclidean
@@ -26,9 +26,14 @@ against the exact path it replaces or the known answer.
 * the odd-contact certificate at CONTACT_PLACE vs the exact squarefree
   path of even_contact_test on binary forms over QQ(s)(alpha) = QQ(m), and
   the exact path alone on two odd forms of degree 5 and 4;
-* the line contact by restriction vs the Fulton reduction, on lines
-  through points of plane cubics over QQ and QQ(sqrt 2), lines that are
-  components of a reducible cubic included;
+* the line contact by restriction vs the Fulton reduction of
+  contact_oracle.py, on lines through points of plane cubics over QQ and
+  QQ(sqrt 2), lines that are components of a reducible cubic included;
+* the curve-curve contact by the certified branch lift vs the Fulton
+  reduction, on every contact that ``picard --fiber all`` and
+  ``singularities`` compute and on random pairs through the origin over QQ
+  and QQ(sqrt 2) with forced tangency, and its failures: both curves
+  singular, a common component, a wrong lift;
 * the generator test of disc_forms_isomorphic vs a search over all
   elements and all pairs, on discriminant forms of small even lattices;
 * the QQ(t) kernel (c*P/Q over Z[t], Henrici's gcds) vs the test-local
@@ -45,13 +50,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from k3pencil import QQ, QS, QSA, MPoly, cover, parse_poly, singular
+from k3pencil import QQ, QS, QSA, MPoly, cli, cover, parse_poly, picard, singular
 from k3pencil.cover import CONTACT_PLACE, BranchConfig, _odd_at_place, even_contact_test
 from k3pencil.field import QPoly, RatFunc, _zmul, _zquo, quadratic_field
 from k3pencil.lattice import GramLattice, disc_forms_isomorphic, lattice_invariants, rank_signature
 from k3pencil.pencil import (
     GENERIC_BRANCH_POINTS,
     QUARTIC_SINGULAR_TABLE,
+    branch_cubic,
     branch_sextic,
     branch_sextic_at,
     fiber_singular_table,
@@ -70,12 +76,12 @@ from k3pencil.singular import (
     DEFAULT_JET_ORDER,
     ProjPoint,
     _eval_on_section,
-    _fulton_multiplicity,
     _line_contact,
     branch_ade_type,
     milnor_ade_classify,
 )
 
+from contact_oracle import fulton_multiplicity
 from gram_helpers import fraction_rank_signature, row_by_row_det
 
 SETTINGS = settings(
@@ -179,8 +185,8 @@ def _xy(text: str) -> MPoly:
 # linear inputs, constant leading coefficients
 @example(_xy("2*x + 3*y"), _xy("5*x - 1"))
 def test_integer_resultant_matches_generic_bareiss(p, q):
-    # resultants over QQ in x and at most y: the subresultant PRS on Z[y]
-    # tuples against the Sylvester determinant
+    # resultants over QQ in x and at most y: the subresultant PRS on MPoly
+    # against the Sylvester determinant
     if p.degree_in("x") < 1 or q.degree_in("x") < 1:
         return
     assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
@@ -191,8 +197,7 @@ def _mpoly_strategy(field, vars, exps, coeff):
     return terms.map(lambda ts: MPoly(field, vars, {e: field.coerce(c) for e, c in ts.items()}))
 
 
-# pairs over QQ(s) in x, y and over QQ in x, y, z: the rings on which
-# resultant runs the subresultant PRS on MPoly coefficients
+# pairs over QQ(s) in x, y and over QQ in x, y, z
 poly_qs_xy = _mpoly_strategy(
     QS, ("x", "y"), st.tuples(st.integers(0, 3), st.integers(0, 2)),
     st.builds(lambda a, b: QS.s() * a + b, small_int, rationals),
@@ -226,8 +231,7 @@ def _xyz(text: str) -> MPoly:
 @example((_qs("2*x + s*y"), _qs("5*x - s")))
 @example((_xyz("x + y"), _xyz("3*x - z")))
 def test_mpoly_resultant_matches_sylvester_determinant(pair):
-    # over QQ(s), and over QQ with two further variables, resultant runs
-    # the subresultant PRS on MPoly coefficients
+    # over QQ(s), and over QQ with two further variables
     p, q = pair
     if p.degree_in("x") < 1 or q.degree_in("x") < 1:
         return
@@ -610,11 +614,108 @@ def test_line_contact_matches_fulton(p, r, a, m, conic, rest, reducible):
         F = L * _form(field, 2, conic)
         if not reducible:
             F = F + A ** m * _form(field, 3 - m, rest)
-        expected = _contact_or_error(_fulton_multiplicity, F, L, P)
+        expected = _contact_or_error(fulton_multiplicity, F, L, P)
         if reducible:
             assert expected == "common component"
         assert _contact_or_error(_line_contact, F, L, P) == expected
-        assert _contact_or_error(_line_contact, F, L, R) == _contact_or_error(_fulton_multiplicity, F, L, R)
+        assert _contact_or_error(_line_contact, F, L, R) == _contact_or_error(fulton_multiplicity, F, L, R)
+
+
+# -- curve-curve contact by the certified branch lift -----------------------------
+
+
+def test_command_contacts_match_fulton(monkeypatch, capsys):
+    # every contact that picard --fiber all and singularities compute: the
+    # line depths and type checks of the three fibres, and the generic
+    # intersection certificate
+    calls = []
+    contact = singular.intersection_multiplicity
+
+    def record(F, G, P):
+        calls.append((F, G, P, contact(F, G, P)))
+        return calls[-1][3]
+
+    for module in (singular, picard):
+        monkeypatch.setattr(module, "intersection_multiplicity", record)
+    for argv in (["picard", "--fiber", "all"], ["singularities"]):
+        assert cli.main(argv) == 0
+    curve_pairs = sum(F.total_degree() > 1 and G.total_degree() > 1 for F, G, _, _ in calls)
+    assert (len(calls), curve_pairs) == (78, 14)
+    for F, G, P, m in calls:
+        assert fulton_multiplicity(F, G, P) == m
+
+
+# the Fulton reduction takes most of the time: 40 pairs, not 100
+@settings(SETTINGS, max_examples=40)
+@given(
+    st.sampled_from(["QQ", "QQ(sqrt 2)"]),
+    nonzero_pairs,
+    coeff_pairs,
+    st.lists(coeff_pairs, min_size=5, max_size=5),
+    st.tuples(nonzero_pairs, coeff_pairs),
+    st.integers(1, 5),
+    st.lists(coeff_pairs, min_size=3, max_size=3),
+    st.lists(coeff_pairs, min_size=3, max_size=3),
+    st.booleans(),
+)
+# a common component: G = F * C
+@example("QQ", (1, 0), (0, 0), [(1, 0)] * 5, ((1, 0), (0, 0)), 2, [(1, 0)] * 3, [(0, 0)] * 3, False)
+# tangency of order 5 to a conic, the smooth curve second
+@example("QQ(sqrt 2)", (1, 1), (1, 0), [(0, 0), (0, 0), (1, 0), (0, 0), (0, 0)], ((1, 0), (0, 0)), 5, [(0, 0)] * 3, [(1, 1)] * 3, True)
+def test_branch_contact_matches_fulton(name, a, c, higher, line, k, cofactor, rest, swap):
+    # F smooth at the origin (linear part a x + c y with a != 0 before a
+    # random swap of x and y), G = F C + M^k D for a line M through the
+    # origin: I_0(F, G) = I_0(F, M^k D) >= k, infinite when D = 0
+    field = QQ if name == "QQ" else SQRT2
+    x, y = MPoly.gens(field, ("x", "y"))
+    e = [_element(field, t) for t in higher]
+    F = x * _element(field, a) + y * _element(field, c)
+    F = F + x * x * e[0] + x * y * e[1] + y * y * e[2] + x ** 3 * e[3] + y ** 3 * e[4]
+    if swap:
+        F = F.subst_polys([y, x])
+    M = x * _element(field, line[0]) + y * _element(field, line[1])
+    C, D = (x * t[1] + y * t[2] + t[0] for t in ([_element(field, u) for u in v] for v in (cofactor, rest)))
+    G = F * C + M ** k * D
+    if F.total_degree() < 2 or G.total_degree() < 2:
+        return
+    F, G = F.homogenize("z"), G.homogenize("z")
+    P = ProjPoint(field, (0, 0, 1))
+    expected = _contact_or_error(fulton_multiplicity, F, G, P)
+    for pair in ((F, G), (G, F)):
+        assert _contact_or_error(singular.intersection_multiplicity, *pair, P) == expected
+    assert expected == "common component" or expected >= k
+
+
+def test_branch_contact_certifies_its_lift(monkeypatch):
+    # a lift whose top coefficient is off leaves f nonzero at w^N
+    lift = singular._lift_section
+
+    def perturbed(grads, diag, N, field):
+        phi = lift(grads, diag, N, field)
+        phi[0][N] = phi[0][N] + field.one
+        return phi
+
+    monkeypatch.setattr(singular, "_lift_section", perturbed)
+    P = ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])
+    with pytest.raises(ValueError, match="fails its certificate"):
+        singular.intersection_multiplicity(branch_cubic(0), branch_cubic(1), P)
+
+
+def test_branch_contact_needs_a_smooth_curve():
+    # a cusp and a node at the origin
+    F, G = parse_poly("y^2*z - x^3", QQ, VARS), parse_poly("x*y*z - x^3 - y^3", QQ, VARS)
+    with pytest.raises(ValueError, match=r"both curves are singular at \(0 : 0 : 1\)"):
+        singular.intersection_multiplicity(F, G, ProjPoint(QQ, (0, 0, 1)))
+
+
+def test_branch_contact_detects_a_common_component():
+    # the conic y z - x^2, smooth at (0 : 0 : 1), is a component of both
+    F = parse_poly("(y*z - x^2)*(x + y + z)", QQ, VARS)
+    G = parse_poly("(y*z - x^2)*(x - 2*y + 3*z)", QQ, VARS)
+    P = ProjPoint(QQ, (0, 0, 1))
+    for pair in ((F, G), (G, F)):
+        with pytest.raises(ValueError, match="common component"):
+            singular.intersection_multiplicity(*pair, P)
 
 
 # -- discriminant-form isomorphism on generators ---------------------------------

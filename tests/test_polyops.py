@@ -320,8 +320,8 @@ def test_specialize_alpha_consistency():
 
 
 def test_dense_and_generic_resultants_agree():
-    # the dense fast path (coefficients in one remaining variable) must agree
-    # with the Sylvester determinant, the test-local oracle of test_fast_paths
+    # resultants over QQ with one remaining variable must agree with the
+    # Sylvester determinant, the test-local oracle of test_fast_paths
     from test_fast_paths import sylvester_resultant
 
     rng = random.Random(9)

@@ -368,7 +368,27 @@ def test_curve_intersections_certificate():
     assert not rep.ok
 
 
+def test_curve_intersections_need_distinct_points():
+    # the first point of multiplicity 3 listed twice, the second dropped:
+    # every multiplicity matches and the total is still 9
+    g0, g1 = branch_cubic(0), branch_cubic(1)
+    claimed = [(ProjPoint(QS, c), m) for c, m in GENERIC_BRANCH_POINTS]
+    assert [m for _, m in claimed[:2]] == [3, 3]
+    rep = verify_curve_intersections(g0, g1, [claimed[0], claimed[0]] + claimed[2:])
+    assert not rep.ok and rep.witness == "a point is listed twice"
+
+
+def test_curve_intersections_raise_on_a_common_component():
+    # the conic y z - x^2 divides both cubics; (0 : 0 : 1) lies on it
+    f = parse_poly("(y*z - x^2)*(x + y + z)", QQ, ("x", "y", "z"))
+    g = parse_poly("(y*z - x^2)*(x - 2*y + 3*z)", QQ, ("x", "y", "z"))
+    with pytest.raises(ValueError, match="common component"):
+        verify_curve_intersections(f, g, [(ProjPoint(QQ, (0, 0, 1)), 9)])
+
+
 def test_non_homogeneous_rejected():
     f = parse_poly("x^2 + y", QQ, ("x", "y", "z"))
     with pytest.raises(ValueError):
         verify_singular_locus(f, [])
+    with pytest.raises(ValueError):
+        verify_curve_intersections(f, parse_poly("x^3 + y^3 + z^3", QQ, ("x", "y", "z")), [])

@@ -34,10 +34,10 @@ every microbenchmark as its value in each run and their median:
 * ``polyops_us``: microseconds per ``gcd_poly`` over QQ of two polynomials
   of degree 5 and 4 with rational coefficients and a common quadratic
   factor, per ``resultant`` in x over QQ of two polynomials in x, y of
-  x-degree 5 and 4 with coefficients of degree at most 5 in y (the Z[y]
-  path, at the size the singular-locus eliminations had), and per
+  x-degree 5 and 4 with coefficients of degree at most 5 in y, and per
   ``resultant`` in x over QQ(s) of two polynomials in x, y of x-degree 2
-  and 3 (best of five timeit repeats);
+  and 3 (best of five timeit repeats); both resultants run the subresultant
+  PRS on ``MPoly``, which no module of the package calls;
 * ``series_us``: microseconds per ``substitute`` of the Cayley bindings
   x -> (1+x)/(1-x), y -> (1+y)/(1-y), z -> (1+z)/(1-z) into the cleared
   numerator of G = sum 1/(x^2-1) over QQ and of 1 + s + G over QQ(s), and
@@ -65,9 +65,13 @@ every microbenchmark as its value in each run and their median:
   chart ``ProjPoint.affine`` gives, per ``double_cover_type`` of the
   generic branch sextic over QQ(s) at its A5 point (1:0:0), and per
   ``verify_singular_locus`` of the radical quartic with its table of eight
-  points and of the branch sextic at s = -1 with its table of five (best of
-  five timeit repeats), built only through public functions, so any two
-  versions compare.
+  points and of the branch sextic at s = -1 with its table of five, per
+  ``intersection_multiplicity`` of the generic branch cubics over QQ(s) at
+  their first point of contact 3 and of the two branch cubics of the
+  s = -1 fibre at its two-branch point (1:0:0), of contact 3, and per
+  ``verify_curve_intersections`` of the generic branch cubics with their
+  four points (best of five timeit repeats), built only through public
+  functions, so any two versions compare.
 
 Each timeit repeat makes the same number of calls, the first of 1, 2, 5,
 10, 20, ... whose calls last at least REPEAT_S seconds.
@@ -104,6 +108,8 @@ PICARD_OPS = tuple(f"{op} {name}" for name, _ in PICARD_FIBERS for op in ("enume
 GEOMETRY_OPS = (
     "milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)",
     "verify_singular_locus quartic", "verify_singular_locus s=-1",
+    "intersection_multiplicity generic QQ(s)", "intersection_multiplicity s=-1",
+    "verify_curve_intersections generic",
 )
 SERIES_OPS = (
     "substitute QQ", "substitute QQ(s)", "annihilation apery 200", "annihilation domb stated",
@@ -271,22 +277,31 @@ def geometry_micro() -> dict:
     call of the k3pencil on sys.path."""
     from k3pencil import QQ, QS
     from k3pencil.pencil import (
-        GENERIC_BRANCH_POINTS, QUARTIC_SINGULAR_TABLE, branch_sextic, branch_sextic_at,
-        fiber_singular_table, radical_quartic,
+        GENERIC_BRANCH_POINTS, QUARTIC_SINGULAR_TABLE, branch_cubic, branch_sextic, branch_sextic_at,
+        fiber_branch_components, fiber_singular_table, radical_quartic,
     )
-    from k3pencil.singular import ProjPoint, double_cover_type, milnor_ade_classify, verify_singular_locus
+    from k3pencil.singular import (
+        ProjPoint, double_cover_type, intersection_multiplicity, milnor_ade_classify,
+        verify_curve_intersections, verify_singular_locus,
+    )
 
     quartic = radical_quartic()
     a3, a2 = (ProjPoint(QQ, QUARTIC_SINGULAR_TABLE[i][0]).affine(quartic) for i in (0, 1))
     sextic, a5 = branch_sextic(), ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])
     quartic_points = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
     fiber, fiber_points = branch_sextic_at(-1), [ProjPoint(QQ, c) for c, _ in fiber_singular_table(-1)]
+    cubics, claimed = (branch_cubic(0), branch_cubic(1)), [(ProjPoint(QS, c), m) for c, m in GENERIC_BRANCH_POINTS]
+    contact3 = next(P for P, m in claimed if m == 3)
+    branches, two_branch = fiber_branch_components(-1), ProjPoint(QQ, (1, 0, 0))
     calls = {
         "milnor_ade_classify A3": lambda: milnor_ade_classify(*a3),
         "milnor_ade_classify A2": lambda: milnor_ade_classify(*a2),
         "double_cover_type A5 QQ(s)": lambda: double_cover_type(sextic, a5),
         "verify_singular_locus quartic": lambda: verify_singular_locus(quartic, quartic_points),
         "verify_singular_locus s=-1": lambda: verify_singular_locus(fiber, fiber_points),
+        "intersection_multiplicity generic QQ(s)": lambda: intersection_multiplicity(*cubics, contact3),
+        "intersection_multiplicity s=-1": lambda: intersection_multiplicity(*branches, two_branch),
+        "verify_curve_intersections generic": lambda: verify_curve_intersections(*cubics, claimed),
     }
     return {op: _us_per_call(calls[op]) for op in GEOMETRY_OPS}
 
