@@ -1,14 +1,14 @@
 """Exact integral lattice engine: Gram matrices, with two integer
 eliminations: a symmetric fraction-free elimination under Jacobi's sign
 rule for ranks, signatures and degeneracy, and the Smith normal form for
-bases and kernels (radical quotients and the dual generators of
-discriminant groups); finite quadratic forms, and the
+bases and kernels (the dual generators of the discriminant group of L
+modulo its radical, degenerate L included); finite quadratic forms, and the
 invariant-fingerprint comparison used to identify lattices up to the
 uniqueness theorems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -265,8 +265,8 @@ def rank_signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
     """(rank, n_plus, n_minus, n_zero) of the symmetric integer matrix with
     these rows, by a symmetric fraction-free (Bareiss) elimination on
     ``int`` rows.  It is the one rank computation of the package: the
-    Picard rank filter's head and Schur complements, degeneracy in
-    ``lattice_invariants`` and every signature read it.
+    Picard rank filter's head and Schur complements, the signature in
+    ``lattice_invariants`` and every other signature read it.
 
     Eliminating with the diagonal pivot a_kk is a congruence, and after k
     pivots every entry of the trailing block is the minor on the first k
@@ -324,7 +324,9 @@ def rank_signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
 def radical_quotient(L: GramLattice) -> GramLattice:
     """Gram matrix induced on the quotient by the saturated radical (the
     integer kernel of the Gram map); complement columns of the SNF
-    transformation give an integral basis of the quotient."""
+    transformation give an integral basis of the quotient.  No invariant
+    goes through it: it is the reference the tests hold
+    ``lattice_invariants`` of a degenerate lattice against."""
     n = L.dim
     gram = [list(r) for r in L.gram]
     d, _, q = smith_normal_form(gram)
@@ -397,32 +399,38 @@ class LatticeInvariants:
 
 
 def discriminant_generators(L: GramLattice) -> tuple[list[int], IntMatrix]:
-    """Generators of the discriminant group L^v / L of a nondegenerate L, read
-    off the Smith normal form P * G * Q = D of its Gram matrix G.
+    """Generators of the discriminant group of L modulo its radical, read off
+    the Smith normal form P * G * Q = D of its Gram matrix G, degenerate or
+    not.
 
-    L^v / L is ZZ^n / G ZZ^n in dual-basis coordinates, and P carries it onto
-    ZZ^n / D ZZ^n, so generator i is P^-1 e_(start+i), of order d_i, the i-th
-    diagonal entry of D above 1.  Since G^-1 * P^-1 = Q * D^-1, its coordinate
-    vector in the basis of L is G^-1 P^-1 e_(start+i) = c_i / d_i, where c_i
-    is column start+i of Q.  Returns the orders d_i and the integer c_i."""
+    The dual (L/rad)^v is the set of maps L -> ZZ that kill the radical:
+    rad^perp in dual-basis coordinates, and L/rad maps onto G ZZ^n in it.
+    G ZZ^n has the rank r of G and its saturation is rad^perp, so
+    (L/rad)^v / (L/rad) = rad^perp / G ZZ^n is the torsion of ZZ^n / G ZZ^n,
+    which P carries onto the torsion of ZZ^n / D ZZ^n: the sum of ZZ/d_i
+    over the nonzero diagonal entries d_i.  Generator i is P^-1 e_i, of
+    order d_i, for each d_i > 1; the zero entries, one per radical
+    direction, are skipped.  As G Q = P^-1 D, column c_i of Q maps under G
+    to d_i P^-1 e_i, so c_i / d_i in L (x) QQ represents generator i, and
+    its pairings with L are those of P^-1 e_i.  Returns the orders d_i and
+    the integer c_i."""
     n = L.dim
     d, _, q = smith_normal_form([list(r) for r in L.gram])
-    if any(d[i][i] == 0 for i in range(n)):
-        raise ValueError("degenerate lattice: call radical_quotient first")
-    orders = [d[i][i] for i in range(n) if d[i][i] > 1]
-    start = n - len(orders)
-    return orders, [[q[r][start + i] for r in range(n)] for i in range(len(orders))]
+    picks = [i for i in range(n) if d[i][i] > 1]
+    return [d[i][i] for i in picks], [[q[r][i] for r in range(n)] for i in picks]
 
 
 def discriminant_group_form(L: GramLattice, signature: tuple[int, int, int, int]) -> LatticeInvariants:
-    """Invariants of a nondegenerate even lattice, given its
-    ``rank_signature``, with the finite quadratic form on the discriminant
-    group: for the generators c_i / d_i of ``discriminant_generators``,
+    """Invariants of an even lattice, given its ``rank_signature``, with the
+    finite quadratic form on the discriminant group of L/rad: for the
+    generators c_i / d_i of ``discriminant_generators``,
     q(g_i) = c_i.G.c_i / d_i^2 mod 2 and b(g_i, g_j) = c_i.G.c_j / (d_i d_j)
-    mod 1."""
-    orders, cols = discriminant_generators(L)
+    mod 1.  G kills the radical, so these are the values on L/rad whatever
+    representatives c_i / d_i of the generators are taken.  An odd lattice
+    is rejected before the Smith form is computed."""
     if not L.is_even():
         raise ValueError("discriminant form requires an even lattice")
+    orders, cols = discriminant_generators(L)
     rank, pos, neg, zero = signature
     gcols = mat_mul(L.gram, transpose(cols))
     pairs = [
@@ -436,16 +444,15 @@ def discriminant_group_form(L: GramLattice, signature: tuple[int, int, int, int]
 
 
 def lattice_invariants(L: GramLattice, signature: Optional[tuple] = None) -> LatticeInvariants:
-    """Invariants after passing to the radical quotient M when degenerate,
-    that is when the signature (``rank_signature``, unless the caller has
-    it) counts a zero.  The form factors through L/rad, so by Sylvester's
-    law M has L's signature without its zeros: one elimination serves both."""
-    signature = signature or rank_signature(L.gram)
-    rank, pos, neg, zero = signature
-    if not zero:
-        return discriminant_group_form(L, signature)
-    inv = discriminant_group_form(radical_quotient(L), (rank, pos, neg, 0))
-    return replace(inv, signature=(pos, neg, zero))
+    """Invariants of an even lattice, degenerate or not, from one
+    ``rank_signature`` (unless the caller has it) and one Smith form
+    (``discriminant_group_form``).  The form factors through L/rad, so by
+    Sylvester's law L/rad has L's signature without its zeros, and its
+    discriminant form is read off L's own Smith form.  An odd lattice is
+    rejected before either elimination."""
+    if not L.is_even():
+        raise ValueError("discriminant form requires an even lattice")
+    return discriminant_group_form(L, signature or rank_signature(L.gram))
 
 
 # ---------------------------------------------------------------------------

@@ -349,9 +349,16 @@ def milnor_ade_classify(
 ) -> SingularityReport:
     """Classify an isolated critical point with critical value 0 as A_k by
     corank computation and jet-level square completion.  Returns the report
-    with milnor number k.  A corank-1 section (``_lift_section``) is accepted
-    only when one independent full-precision pass shows every gradient
-    vanishing on it to the jet order; that pass also gives the residual."""
+    with milnor number k.  At corank 1, ``_lift_section`` lifts the critical
+    section only until the residual h on it has a nonzero coefficient, at
+    order m = k + 1, or up to the jet order as a cap.  One independent
+    ``_eval_on_section`` pass at that order then certifies the section and
+    reads the order: if every gradient vanishes on the section phi to
+    order m, phi agrees with the true section phi* modulo w^(m+1) (the
+    uniqueness argument of ``_lift_section``), and as the gradient vanishes
+    on phi*, h(phi) - h(phi*) = O(w^(2m+2)), so the first nonzero index of
+    h(phi) up to m is that of h(phi*).  A residual still zero at the cap
+    exceeds the jet order."""
     N = jet_order
     if N < 2:
         raise ValueError(f"jet order {N} < 2 truncates away the quadratic part")
@@ -430,8 +437,8 @@ def milnor_ade_classify(
     diag = [M[i][i] for i in range(rank)]
 
     grads = [h.derivative(v) for v in f.vars[:rank]]
-    phi = _lift_section(grads, diag, N, field)
-    *gvals, residual = _eval_on_section(grads + [h], phi, N, field)
+    phi, n = _lift_section(grads, diag, h, N, field)
+    *gvals, residual = _eval_on_section(grads + [h], phi, n, field)
     if any(not c.is_zero() for gv in gvals for c in gv):
         raise ValueError("critical section fails its full-precision certificate")
     m = next((d for d, c in enumerate(residual) if not c.is_zero()), None)
@@ -443,44 +450,52 @@ def milnor_ade_classify(
 
 
 def _lift_section(
-    grads: Sequence[MPoly], diag: Sequence[FieldElement], N: int, field: Field
-) -> list[list[FieldElement]]:
+    grads: Sequence[MPoly], diag: Sequence[FieldElement], read: MPoly, cap: int, field: Field
+) -> tuple[list[list[FieldElement]], int]:
     """The critical section x_i = phi_i(w) of grad_0 = .. = grad_{r-1} = 0,
     the x-gradients of a jet h(x, w) without linear terms whose quadratic
-    part is sum d_i x_i^2, as dense series in w truncated after w^N, lifted
-    one coefficient at a time (relaxed evaluation; van der Hoeven, "Relax,
-    but don't be too lazy", J. Symbolic Comput. 34 (2002)).
+    part is sum d_i x_i^2, as dense series in w, lifted one coefficient at a
+    time (relaxed evaluation; van der Hoeven, "Relax, but don't be too
+    lazy", J. Symbolic Comput. 34 (2002)), with the series read(phi, w)
+    grown alongside.  The lift stops at the first index m >= 1 where
+    read(phi, w) has a nonzero coefficient, or at m = cap (cap >= 1), and
+    returns the section truncated after w^m and m.
 
     So grad_i = 2 d_i x_i + q_i with every term of q_i(x, w) of total degree
     >= 2.  With every phi_j of valuation >= 1, [w^k] q_i(phi, w) reads only
     the phi_j[< k], so [w^k] grad_i(phi, w) = 0 forces
     phi_i[k] = -[w^k] q_i(phi, w) / (2 d_i).  Hence the solution of
-    valuation >= 1 modulo w^(N+1) exists and is unique, and the fixed point
+    valuation >= 1 modulo w^(m+1) exists and is unique, and the fixed point
     of the chord iteration phi <- phi - grad(phi) / (2 d), being such a
     solution, is this one.  A monomial x^a, |a| >= 2, is built online from
     x^b, b = a - e_i: its coefficient k is the sum over j >= 1 of
-    phi_i[j] * (x^b)[k - j], which reads only coefficients below k."""
+    phi_i[j] * (x^b)[k - j], which reads only coefficients below k.  Once
+    the phi_i[k] are known, so is [w^k] read(phi, w), which reads no
+    coefficient above k."""
     zero, r = field.zero, len(diag)
-    phi = [[zero] * (N + 1) for _ in range(r)]
+    phi = [[zero] * (cap + 1) for _ in range(r)]
     series = {tuple(int(j == i) for j in range(r)): phi[i] for i in range(r)}
-    series[(0,) * r] = [field.one] + [zero] * N
+    series[(0,) * r] = [field.one] + [zero] * cap
     products = []
 
     def mono(a: tuple) -> list:
         if a not in series:
             i = next(j for j, k in enumerate(a) if k)
-            series[a] = [zero] * (N + 1)
+            series[a] = [zero] * (cap + 1)
             products.append((series[a], phi[i], mono(a[:i] + (a[i] - 1,) + a[i + 1 :])))
         return series[a]
 
     terms = [[(c, mono(e[:r]), sum(e[r:])) for e, c in g.terms.items() if sum(e) > 1] for g in grads]
+    reads = [(c, mono(e[:r]), sum(e[r:])) for e, c in read.terms.items()]
     scale = [-(d * 2).inv() for d in diag]
-    for k in range(1, N + 1):
+    for k in range(1, cap + 1):
         for out, p, b in products:
             out[k] = sum((p[j] * b[k - j] for j in range(1, k)), zero)
         for i, ts in enumerate(terms):
             phi[i][k] = sum((c * s[k - kw] for c, s, kw in ts if kw <= k), zero) * scale[i]
-    return phi
+        if not sum((c * s[k - kw] for c, s, kw in reads if kw <= k), zero).is_zero():
+            break
+    return [p[: k + 1] for p in phi], k
 
 
 def _eval_on_section(
@@ -588,13 +603,15 @@ def _branch_contact(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     coordinate.  As df/du != 0 at P, w is a uniformizer of the discrete
     valuation ring of F at P, whose completion is K[[w]] with u the branch
     phi(w) of f(u, w) = 0, so ord_P^F(G) is the order in w of g(phi(w), w).
-    ``_lift_section([f], [b/2], ..)`` lifts phi modulo w^(N+1); a solution of
-    valuation >= 1 there is unique (the argument of its docstring), and
-    ``_eval_on_section`` certifies it: f(phi, w) must vanish to order N, or
-    the contact raises, so a wrong section cannot pass.  The same pass gives
-    g(phi, w) to order N, whose first nonzero index is I_P.  N starts at 2
-    and doubles up to deg F * deg G + 1; a series still zero there exceeds
-    the Bezout bound deg F * deg G of curves without a common component."""
+    ``_lift_section([f], [b/2], g, ..)`` lifts phi until g(phi, w) has a
+    nonzero coefficient, at order m, and ``_eval_on_section`` certifies it
+    at m: f(phi, w) must vanish to order m, or the contact raises, so a
+    wrong section cannot pass.  Then phi agrees with the branch modulo
+    w^(m+1) (the uniqueness argument of ``_lift_section``), and g(phi) -
+    g(branch) is divisible by phi - branch, so the first nonzero index of
+    g(phi, w) up to m, read in the same pass, is I_P.  The lift is capped
+    at deg F * deg G: a series still zero there exceeds the Bezout bound of
+    curves without a common component."""
     f, coords = P.affine(F)
     f, g = f.translate(coords), P.affine(G)[0].translate(coords)
     if not f.const_coeff().is_zero() or not g.const_coeff().is_zero():
@@ -609,18 +626,14 @@ def _branch_contact(F: MPoly, G: MPoly, P: ProjPoint) -> int:
     # u the first coordinate, w the second: a*x + c*y = b*u
     images, b = ([X - Y * (c / a), Y], a) if not a.is_zero() else ([Y, X], c)
     f, g = f.subst_polys(images), g.subst_polys(images)
-    cap, N = F.total_degree() * G.total_degree(), 2
-    while True:
-        phi = _lift_section([f], [b * Fraction(1, 2)], N, field)
-        fs, gs = _eval_on_section([f, g], phi, N, field)
-        if any(not t.is_zero() for t in fs):
-            raise ValueError(f"branch at {P} fails its certificate")
-        m = next((k for k, t in enumerate(gs) if not t.is_zero()), None)
-        if m is not None:
-            return m
-        if N > cap:
-            raise ValueError("infinite intersection multiplicity: common component")
-        N = min(2 * N, cap + 1)
+    phi, n = _lift_section([f], [b * Fraction(1, 2)], g, F.total_degree() * G.total_degree(), field)
+    fs, gs = _eval_on_section([f, g], phi, n, field)
+    if any(not t.is_zero() for t in fs):
+        raise ValueError(f"branch at {P} fails its certificate")
+    m = next((k for k, t in enumerate(gs) if not t.is_zero()), None)
+    if m is None:
+        raise ValueError("infinite intersection multiplicity: common component")
+    return m
 
 
 def _solve_line(line: MPoly) -> tuple[str, MPoly]:

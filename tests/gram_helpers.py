@@ -3,7 +3,13 @@ engine's integer elimination is checked against."""
 
 from fractions import Fraction
 
-from k3pencil.lattice import GramLattice
+from k3pencil.lattice import (
+    GramLattice,
+    disc_forms_isomorphic,
+    discriminant_group_form,
+    radical_quotient,
+    rank_signature,
+)
 
 
 def ade_chain(n):
@@ -88,3 +94,15 @@ def fraction_rank_signature(m) -> tuple[int, int, int, int]:
             neg += 1
     rank = pos + neg
     return rank, pos, neg, n - rank
+
+
+def assert_matches_radical_quotient(L, inv):
+    """inv, the invariants of L from one Smith form of its Gram matrix,
+    against the oracle: the discriminant form of the radical quotient,
+    which takes one Smith form to find the radical and another on the
+    quotient.  Same rank, signature and invariant factors, and isomorphic
+    forms."""
+    rank, pos, neg, zero = rank_signature(L.gram)
+    want = discriminant_group_form(radical_quotient(L), (rank, pos, neg, 0))
+    assert (inv.rank, inv.signature, inv.invariant_factors) == (rank, (pos, neg, zero), want.invariant_factors)
+    assert disc_forms_isomorphic(inv.disc_form, want.disc_form)

@@ -303,6 +303,20 @@ def test_lattice_rank_bound_exits_2_before_any_gram_matrix(monkeypatch, capsys):
     assert lattice.standard_lattice(f"E8^{bound // 8}").dim == bound
 
 
+def test_odd_lattice_exits_2_before_any_elimination(monkeypatch, capsys):
+    # the parity of the diagonal is read before the signature or the Smith
+    # form of a large odd lattice is computed
+    def eliminated(*args):
+        pytest.fail("an elimination ran on an odd lattice")
+
+    monkeypatch.setattr(lattice, "rank_signature", eliminated)
+    monkeypatch.setattr(lattice, "smith_normal_form", eliminated)
+    for spec in ("E8(-1)^31 + <1>", "<1> + <2>^255"):
+        assert main(["lattice", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert "discriminant form requires an even lattice" in captured.err and not captured.out
+
+
 def test_unwritable_out_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_check", lambda *args: pytest.fail("a check ran"))
     target = tmp_path / "missing" / "report.json"

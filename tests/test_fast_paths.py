@@ -13,11 +13,15 @@ against the exact path it replaces or the known answer.
   linear change and translation, and its coefficient-by-coefficient lift of
   the critical section vs the test-local chord loop it replaced (a full
   evaluation at the jet order per step), on those forms over QQ and QQ(s)
-  and at every corank-1 point that ``singularities`` classifies;
+  and at every corank-1 point that ``singularities`` classifies, and one
+  lift and one certificate pass per order read, k + 1 or I_P;
 * the integer rank and signature rank_signature (symmetric Bareiss,
   Jacobi's sign rule) vs the test-local Fraction congruence
   diagonalization fraction_rank_signature, on symmetric integer matrices,
   rank-deficient ones and zero diagonals included;
+* the invariants of a degenerate even lattice from one Smith form
+  (lattice_invariants) vs those of its radical quotient, on the same
+  matrices made even;
 * the Picard rank filter's inertias by Haynsworth additivity (the head plus
   a Schur complement on the line rows) vs rank_signature and
   fraction_rank_signature of the completed matrix, on all 288 sheet
@@ -82,7 +86,7 @@ from k3pencil.singular import (
 )
 
 from contact_oracle import fulton_multiplicity
-from gram_helpers import fraction_rank_signature, row_by_row_det
+from gram_helpers import assert_matches_radical_quotient, fraction_rank_signature, row_by_row_det
 
 SETTINGS = settings(
     derandomize=True,
@@ -418,15 +422,15 @@ def test_section_lift_matches_chord_loop_at_the_classified_points():
 
 
 def test_certificate_rejects_a_wrong_section():
-    # an A_2 point whose section is nonlinear, with one coefficient of the
-    # lifted section changed at the jet order
+    # an A_2 point whose section is nonlinear, with the top coefficient of
+    # the lifted section changed at the order read
     f = parse_poly("x^2 + y^3 + x*y^2", QQ, ("x", "y"))
     lift = singular._lift_section
 
-    def off_at_the_top(grads, diag, N, field):
-        phi = lift(grads, diag, N, field)
-        phi[0][N] = phi[0][N] + field.one
-        return phi
+    def off_at_the_top(grads, diag, read, cap, field):
+        phi, m = lift(grads, diag, read, cap, field)
+        phi[0][m] = phi[0][m] + field.one
+        return phi, m
 
     assert milnor_ade_classify(f, (0, 0)).k == 2
     with mock.patch.object(singular, "_lift_section", off_at_the_top):
@@ -474,6 +478,20 @@ def test_rank_signature_of_empty_matrix():
 @example([[2, 4], [4, 8]])
 def test_integer_signature_matches_fraction_diagonalization(m):
     assert rank_signature(m) == fraction_rank_signature(m)
+
+
+def _even(m):
+    """m, doubled when a diagonal entry is odd."""
+    return m if all(m[i][i] % 2 == 0 for i in range(len(m))) else [[2 * x for x in row] for row in m]
+
+
+@SETTINGS
+@given(symmetric_int_matrices().map(_even).filter(lambda m: rank_signature(m)[3] > 0))
+@example([[2, 0], [0, 0]])
+@example([[0] * 3] * 3)
+def test_degenerate_invariants_match_the_radical_quotient(m):
+    L = GramLattice.from_rows(m)
+    assert_matches_radical_quotient(L, lattice_invariants(L))
 
 
 # -- the Picard rank filter by Schur complements ---------------------------------
@@ -645,6 +663,45 @@ def test_command_contacts_match_fulton(monkeypatch, capsys):
         assert fulton_multiplicity(F, G, P) == m
 
 
+def test_each_order_is_read_by_one_lift_and_one_certificate(monkeypatch, capsys):
+    # every corank-1 classifier call and every curve-curve contact that
+    # picard --fiber all and singularities make: one _lift_section, then one
+    # _eval_on_section at the order read, k + 1 or I_P; a Morse point none
+    log = []
+
+    def spy(name, result):
+        fn = getattr(singular, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            log.append((name, result(args, out)))
+            return out
+
+        monkeypatch.setattr(singular, name, wrapped)
+
+    spy("milnor_ade_classify", lambda args, rep: rep.k)
+    spy("_branch_contact", lambda args, m: m)
+    spy("_lift_section", lambda args, out: out[1])
+    spy("_eval_on_section", lambda args, out: args[2])
+    for argv in (["picard", "--fiber", "all"], ["singularities"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    expected, counts = [], {}
+    for name, value in log:
+        if name == "milnor_ade_classify":
+            lifts, read = value > 1, value + 1
+        elif name == "_branch_contact":
+            lifts, read = True, value
+        else:
+            continue
+        if lifts:
+            expected += [("_lift_section", read), ("_eval_on_section", read)]
+        expected.append((name, value))
+        counts[name, lifts] = counts.get((name, lifts), 0) + 1
+    assert log == expected
+    assert counts == {("milnor_ade_classify", False): 10, ("milnor_ade_classify", True): 14, ("_branch_contact", True): 14}
+
+
 # the Fulton reduction takes most of the time: 40 pairs, not 100
 @settings(SETTINGS, max_examples=40)
 @given(
@@ -687,13 +744,13 @@ def test_branch_contact_matches_fulton(name, a, c, higher, line, k, cofactor, re
 
 
 def test_branch_contact_certifies_its_lift(monkeypatch):
-    # a lift whose top coefficient is off leaves f nonzero at w^N
+    # a lift whose top coefficient is off leaves f nonzero at w^m
     lift = singular._lift_section
 
-    def perturbed(grads, diag, N, field):
-        phi = lift(grads, diag, N, field)
-        phi[0][N] = phi[0][N] + field.one
-        return phi
+    def perturbed(grads, diag, read, cap, field):
+        phi, m = lift(grads, diag, read, cap, field)
+        phi[0][m] = phi[0][m] + field.one
+        return phi, m
 
     monkeypatch.setattr(singular, "_lift_section", perturbed)
     P = ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])

@@ -74,10 +74,12 @@ def test_disc_form_of_minus_12():
     assert inv.disc_form.q == (Fraction(23, 12),)
 
 
-def test_degenerate_requires_quotient():
+def test_degenerate_form_read_without_the_quotient():
+    # one Smith form: the zero invariant factor of the radical is skipped
     L = GramLattice.from_rows([[2, 0], [0, 0]])
-    with pytest.raises(ValueError, match="radical"):
-        discriminant_group_form(L, rank_signature(L.gram))
+    inv = discriminant_group_form(L, rank_signature(L.gram))
+    assert inv.invariant_factors == (2,)
+    assert inv.disc_form.q == (Fraction(1, 2),)
     q = radical_quotient(L)
     assert q.gram == ((2,),)
 

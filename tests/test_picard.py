@@ -20,7 +20,7 @@ from k3pencil.picard import (
     reflection_isomorphism_check,
     transcendental_invariants,
 )
-from gram_helpers import ade_chain, fraction_rank_signature, row_by_row_det
+from gram_helpers import ade_chain, assert_matches_radical_quotient, fraction_rank_signature, row_by_row_det
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,24 @@ def test_enumeration_pinned_with_one_elimination_per_assignment(fiber_configs, m
     assert len(calls) == 288 + 3 * (1 + 2)
     # no full-size elimination, on a survivor or any other completion
     assert not set(calls) & {len(cfg.labels) for cfg in fiber_configs.values()}
+
+
+def test_survivor_invariants_match_the_radical_quotient(fiber_configs, monkeypatch):
+    # the 12 survivors are degenerate: each takes one Smith form of its
+    # completed Gram matrix, not one for the radical and one for the quotient
+    survivors = [
+        GramLattice.from_rows(m, cfg.labels)
+        for cfg in fiber_configs.values()
+        for m in enumerate_and_filter(cfg).completions
+    ]
+    sizes, snf = [], lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda m: sizes.append(len(m)) or snf(m))
+    invs = [lattice_invariants(L) for L in survivors]
+    monkeypatch.undo()
+    assert len(survivors) == 12 and sizes == [L.dim for L in survivors]
+    for L, inv in zip(survivors, invs):
+        assert inv.signature[2] > 0
+        assert_matches_radical_quotient(L, inv)
 
 
 def test_rank_bound_flag():

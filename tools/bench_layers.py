@@ -47,9 +47,10 @@ every microbenchmark as its value in each run and their median:
   ``domb`` (best of five timeit repeats);
 * ``lattice_us``: microseconds per ``rank_signature`` and
   ``smith_normal_form`` on the rows of the Gram matrix of the first
-  surviving sheet assignment of the generic fibre (23 x 23, rank 19), and
-  per ``disc_forms_isomorphic`` of its discriminant form against that of
-  the Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
+  surviving sheet assignment of the generic fibre (23 x 23, rank 19), per
+  ``lattice_invariants`` of that degenerate lattice, and per
+  ``disc_forms_isomorphic`` of its discriminant form against that of the
+  Picard model U + E8(-1)^2 + <-12> (best of five timeit repeats).
   ``rank_signature`` takes the rows: on a checkout whose ``rank_signature``
   takes a ``GramLattice`` the pass is skipped, its ``lattice_us`` is null and
   the ratio says why;
@@ -61,8 +62,9 @@ every microbenchmark as its value in each run and their median:
   it times the filter alone (best of five timeit repeats), through public
   functions only, so any two versions compare;
 * ``geometry_us``: microseconds per ``milnor_ade_classify`` at the radical
-  quartic's A3 point (0:0:0:1) and at its A2 point (0:1:1:0), each on the
-  chart ``ProjPoint.affine`` gives, per ``double_cover_type`` of the
+  quartic's A3 point (0:0:0:1), at its A2 point (0:1:1:0) and at the A5
+  point (1:0:0) of the branch sextic at s = 1, each on the chart
+  ``ProjPoint.affine`` gives, per ``double_cover_type`` of the
   generic branch sextic over QQ(s) at its A5 point (1:0:0), and per
   ``verify_singular_locus`` of the radical quartic with its table of eight
   points and of the branch sextic at s = -1 with its table of five, per
@@ -100,13 +102,14 @@ RUNS = 7
 REPEAT_S = 0.05
 FIELDS = ("QQ", "QQ(sqrt(2))", "QQ(s)", "QQ(m)", "QQ(m) (1-m^2)^k")
 OPS = ("mul", "add", "sub", "inv")
-LATTICE_OPS = ("rank_signature", "smith_normal_form", "disc_forms_isomorphic")
+LATTICE_OPS = ("rank_signature", "smith_normal_form", "lattice_invariants survivor", "disc_forms_isomorphic")
 POLYOPS_OPS = ("gcd_poly QQ", "resultant QQ", "resultant QQ(s)")
 MPOLY_OPS = ("mul", "set_var", "set_var_poly", "subst_polys", "translate")
 PICARD_FIBERS = (("generic", "generic"), ("s1", 1), ("s-1", -1))
 PICARD_OPS = tuple(f"{op} {name}" for name, _ in PICARD_FIBERS for op in ("enumerate_and_filter", "filter"))
 GEOMETRY_OPS = (
-    "milnor_ade_classify A3", "milnor_ade_classify A2", "double_cover_type A5 QQ(s)",
+    "milnor_ade_classify A3", "milnor_ade_classify A2", "milnor_ade_classify A5",
+    "double_cover_type A5 QQ(s)",
     "verify_singular_locus quartic", "verify_singular_locus s=-1",
     "intersection_multiplicity generic QQ(s)", "intersection_multiplicity s=-1",
     "verify_curve_intersections generic",
@@ -242,11 +245,13 @@ def lattice_micro() -> Optional[dict]:
         lat.rank_signature(m)
     except AttributeError:
         return None
-    form = lat.lattice_invariants(lat.GramLattice.from_rows(m)).disc_form
+    survivor = lat.GramLattice.from_rows(m)
+    form = lat.lattice_invariants(survivor).disc_form
     model = lat.lattice_invariants(lat.standard_lattice(FIBER_MODELS["generic"][0])).disc_form
     calls = {
         "rank_signature": lambda: lat.rank_signature(m),
         "smith_normal_form": lambda: lat.smith_normal_form(m),
+        "lattice_invariants survivor": lambda: lat.lattice_invariants(survivor),
         "disc_forms_isomorphic": lambda: lat.disc_forms_isomorphic(form, model),
     }
     return {op: _us_per_call(calls[op]) for op in LATTICE_OPS}
@@ -287,6 +292,7 @@ def geometry_micro() -> dict:
 
     quartic = radical_quartic()
     a3, a2 = (ProjPoint(QQ, QUARTIC_SINGULAR_TABLE[i][0]).affine(quartic) for i in (0, 1))
+    fiber_a5 = ProjPoint(QQ, next(c for c, k in fiber_singular_table(1) if k == 5)).affine(branch_sextic_at(1))
     sextic, a5 = branch_sextic(), ProjPoint(QS, GENERIC_BRANCH_POINTS[0][0])
     quartic_points = [ProjPoint(QQ, c) for c, _ in QUARTIC_SINGULAR_TABLE]
     fiber, fiber_points = branch_sextic_at(-1), [ProjPoint(QQ, c) for c, _ in fiber_singular_table(-1)]
@@ -296,6 +302,7 @@ def geometry_micro() -> dict:
     calls = {
         "milnor_ade_classify A3": lambda: milnor_ade_classify(*a3),
         "milnor_ade_classify A2": lambda: milnor_ade_classify(*a2),
+        "milnor_ade_classify A5": lambda: milnor_ade_classify(*fiber_a5),
         "double_cover_type A5 QQ(s)": lambda: double_cover_type(sextic, a5),
         "verify_singular_locus quartic": lambda: verify_singular_locus(quartic, quartic_points),
         "verify_singular_locus s=-1": lambda: verify_singular_locus(fiber, fiber_points),
